@@ -5,7 +5,7 @@ The package splits along the natural seams of the problem: ``topology``
 and block search), ``traffic`` (demand stream and departures),
 ``features`` (state encoding), ``neuralnet`` (policy/value networks with
 hand-derived gradients), ``env`` (the provisioning step and heuristic
-baselines), ``trainer`` (parallel actor-learners), and ``cli`` / ``config``
+baselines), ``trainer`` (lockstep actor-learners), and ``cli`` / ``config``
 (the experiment front-end).
 """
 
@@ -17,7 +17,7 @@ from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
                         forward_policy, forward_value, init_params,
                         load_checkpoint, policy_loss, save_checkpoint,
                         value_loss)
-from .spectrum import FreeBlock, NetworkSpectrum, first_fit
+from .spectrum import NetworkSpectrum
 from .topology import (CandidatePath, Link, Topology, k_shortest_paths,
                        load_topology, modulation_for, parse_topology,
                        precompute_paths, required_slots)

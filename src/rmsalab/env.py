@@ -119,10 +119,7 @@ class RmsaEnv:
         return req
 
     def _provision(self, req: Request, path: CandidatePath, path_index: int,
-                   start: int | None, n: int) -> ProvisionOutcome:
-        if start is None:
-            self.stats.record(False)
-            return ProvisionOutcome(False, path_index, None, None, -1.0)
+                   start: int, n: int) -> ProvisionOutcome:
         lightpath_id = next(self._ids)
         expiry = req.arrival_time + req.duration
         self.spectrum.allocate(path, start, n, lightpath_id, expiry)
@@ -133,13 +130,6 @@ class RmsaEnv:
     def _blocked(self, path_index: int | None) -> ProvisionOutcome:
         self.stats.record(False)
         return ProvisionOutcome(False, path_index, None, None, -1.0)
-
-    def _first_fit_start(self, path: CandidatePath, n: int) -> int | None:
-        starts, sizes = self.spectrum.block_spans(path)
-        fits = np.flatnonzero(sizes >= n)
-        if fits.size == 0:
-            return None
-        return int(starts[fits[0]])
 
     def step(self, req: Request, action: int) -> ProvisionOutcome:
         """Apply one agent decision.
@@ -162,12 +152,7 @@ class RmsaEnv:
         path = paths[path_index]
         n = required_slots(req.bandwidth_gbps, path.modulation,
                            self.slot_capacity_gbps)
-        if block_index == 0:
-            start = self._first_fit_start(path, n)
-        else:
-            starts, _ = self.spectrum.usable_block_spans(path, n)
-            start = int(starts[block_index]) if block_index < starts.size \
-                else None
+        start = self.spectrum.usable_block_start(path, n, block_index)
         if start is None:
             return self._blocked(path_index)
         return self._provision(req, path, path_index, start, n)
@@ -177,7 +162,7 @@ class RmsaEnv:
         path = self.candidate_paths(req)[0]
         n = required_slots(req.bandwidth_gbps, path.modulation,
                            self.slot_capacity_gbps)
-        start = self._first_fit_start(path, n)
+        start = self.spectrum.usable_block_start(path, n)
         if start is None:
             return self._blocked(0)
         return self._provision(req, path, 0, start, n)
@@ -187,7 +172,7 @@ class RmsaEnv:
         for index, path in enumerate(self.candidate_paths(req)):
             n = required_slots(req.bandwidth_gbps, path.modulation,
                                self.slot_capacity_gbps)
-            start = self._first_fit_start(path, n)
+            start = self.spectrum.usable_block_start(path, n)
             if start is not None:
                 return self._provision(req, path, index, start, n)
         return self._blocked(None)

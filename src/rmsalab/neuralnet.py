@@ -253,10 +253,6 @@ def forward_value(params: ParamSet, state: np.ndarray) -> float:
     return float(_forward(params.value_weights, params.value_biases, state)[..., 0])
 
 
-def policy_value(params: ParamSet, state: np.ndarray) -> tuple[np.ndarray, float]:
-    return forward_policy(params, state), forward_value(params, state)
-
-
 def _plogp(probs: np.ndarray) -> np.ndarray:
     # p * log p with the 0 * log 0 = 0 convention
     return probs * np.log(np.maximum(probs, PROB_FLOOR))

@@ -16,14 +16,6 @@ from .topology import CandidatePath, Topology
 
 
 @dataclass(frozen=True)
-class FreeBlock:
-    """A maximal run of slots free on every link of the queried path."""
-
-    start: int
-    size: int
-
-
-@dataclass(frozen=True)
 class Lightpath:
     id: int
     link_ids: tuple[int, ...]
@@ -41,18 +33,6 @@ def _mask_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = edges[0::2]
     sizes = edges[1::2] - starts
     return starts, sizes
-
-
-def first_fit(blocks: list[FreeBlock], n: int) -> int | None:
-    """Start of the lowest block that holds ``n`` slots, if any.
-
-    ``blocks`` must be sorted by start slot, as returned by
-    :meth:`NetworkSpectrum.available_blocks`.
-    """
-    for block in blocks:
-        if block.size >= n:
-            return block.start
-    return None
 
 
 class NetworkSpectrum:
@@ -80,21 +60,15 @@ class NetworkSpectrum:
         """(starts, sizes) arrays of the maximal free blocks along ``path``."""
         return _mask_blocks(self.path_free_mask(path))
 
-    def usable_block_spans(self, path: CandidatePath,
-                           n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Maximal free blocks along ``path`` that can hold ``n`` slots.
-
-        These are the blocks a demand of ``n`` slots could actually use;
-        the first one is the first-fit placement.
-        """
-        starts, sizes = _mask_blocks(self.path_free_mask(path))
-        keep = sizes >= n
-        return starts[keep], sizes[keep]
-
-    def available_blocks(self, path: CandidatePath) -> list[FreeBlock]:
-        """All maximal free blocks along ``path``, ascending by start slot."""
+    def usable_block_start(self, path: CandidatePath, n: int,
+                           j: int = 0) -> int | None:
+        """Start of the ``j``-th lowest maximal free block along ``path``
+        that can hold ``n`` slots, or None; ``j = 0`` is first fit."""
         starts, sizes = self.block_spans(path)
-        return [FreeBlock(int(s), int(z)) for s, z in zip(starts, sizes)]
+        fits = np.flatnonzero(sizes >= n)
+        if j >= fits.size:
+            return None
+        return int(starts[fits[j]])
 
     def path_stats(self, path: CandidatePath) -> tuple[float, int]:
         """(average free-block size, total free slots); (0.0, 0) when full."""

@@ -29,8 +29,6 @@ DEFAULT_REACH_TABLE: tuple[tuple[int, float], ...] = (
 # Data rate one frequency slot carries at modulation order 1.
 DEFAULT_SLOT_CAPACITY_GBPS = 12.5
 
-MODULATION_NAMES = {1: "BPSK", 2: "QPSK", 3: "8QAM", 4: "16QAM"}
-
 BUILTIN_TOPOLOGIES = ("nsfnet", "cost239")
 
 
@@ -43,9 +41,6 @@ class Link:
     b: int
     length_km: float
 
-    def other(self, node: int) -> int:
-        return self.b if node == self.a else self.a
-
 
 @dataclass(frozen=True)
 class CandidatePath:
@@ -55,10 +50,6 @@ class CandidatePath:
     link_ids: tuple[int, ...]
     length_km: float
     modulation: int
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.link_ids)
 
 
 class Topology:

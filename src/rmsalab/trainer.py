@@ -1,23 +1,31 @@
-"""Parallel actor-learner training loop.
+"""Lockstep actor-learner training loop.
 
-Each worker owns a private environment, demand stream, and local copy of
-the networks; the only shared state is the global parameter set (guarded
-by one lock) and the epoch counter. One epoch is one gradient
-application by any worker. Two batching mechanisms exist:
+W actors share one global parameter set. Each actor owns a private
+environment, demand stream, action RNG, sample buffer and local copy of
+the networks. Training runs in rounds on one thread: in each round every
+actor, in worker order, serves one request, and an actor whose buffer
+reaches its trigger trains at once, so gradients are applied in a fixed
+order and a run is reproducible from its seed. One epoch is one gradient
+application; the run stops as soon as the configured epoch count is
+reached. Two return rules exist, and both train on the first N buffered
+samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
-  return of the i-th sample aggregates the remaining rewards of its own
-  episode, so late samples see returns built from very few rewards.
+  state carries the request's position within it, the local networks
+  resync at each episode start, and the return of the i-th sample
+  aggregates the remaining rewards of its own episode, so late samples
+  see returns built from very few rewards.
 * sliding-window mode (``flx``): training fires once the buffer holds
   2N - 1 samples; each of the first N samples gets a return over exactly
   the N rewards that follow it, the trained samples are dropped, and the
-  local networks resync when N - 1 samples remain.
+  local networks resync when the buffer is empty or N - 1 samples remain.
 """
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +35,7 @@ from .features import StateEncoder
 from .neuralnet import (Batch, GradientSet, LayerSpec, ParamSet, adam_apply,
                         backward, forward_policy, forward_value, init_params,
                         save_checkpoint)
-from .topology import CandidatePath, Topology
+from .topology import Topology
 from .traffic import TrafficConfig
 
 METRICS_COLUMNS = ("epoch", "worker", "requests_total", "requests_blocked",
@@ -127,13 +135,12 @@ def roulette_select(probs, rng: np.random.Generator) -> int:
 
 
 class MetricsWriter:
-    """Append-only CSV stream, safe to share across worker threads."""
+    """Append-only CSV stream."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._fh = open(self.path, "w", encoding="utf-8")
         self._fh.write(",".join(METRICS_COLUMNS) + "\n")
-        self._lock = threading.Lock()
 
     @staticmethod
     def _fmt(value) -> str:
@@ -144,173 +151,122 @@ class MetricsWriter:
     def write_row(self, *values) -> None:
         if len(values) != len(METRICS_COLUMNS):
             raise ValueError(f"expected {len(METRICS_COLUMNS)} values")
-        line = ",".join(self._fmt(v) for v in values) + "\n"
-        with self._lock:
-            self._fh.write(line)
+        self._fh.write(",".join(self._fmt(v) for v in values) + "\n")
 
     def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
+        self._fh.close()
 
 
 class ParamStore:
-    """The shared parameter set: whole-set reads and writes are serialized,
-    everything else runs without coordination."""
+    """The global parameter set and the epoch counter."""
 
-    def __init__(self, params: ParamSet, cfg: TrainingConfig,
-                 out_dir: Path | None = None):
-        self._params = params
+    def __init__(self, params: ParamSet, cfg: TrainingConfig):
+        self.params = params
         self._cfg = cfg
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
         self.epoch = 0
-        self.failure: tuple[int, BaseException] | None = None
-        self._out_dir = out_dir
-        if cfg.epochs <= 0:
-            self._stop.set()
-
-    def should_stop(self) -> bool:
-        return self._stop.is_set()
-
-    def fail(self, worker_id: int, exc: BaseException) -> None:
-        if self.failure is None:
-            self.failure = (worker_id, exc)
-        self._stop.set()
 
     def sync_into(self, local: ParamSet) -> None:
-        with self._lock:
-            local.copy_weights_from(self._params)
+        local.copy_weights_from(self.params)
 
-    def snapshot(self) -> ParamSet:
-        with self._lock:
-            return self._params.clone()
-
-    def apply(self, grads: GradientSet) -> tuple[int, ParamSet | None]:
-        """Adam-update the global set; returns the new epoch number and a
-        snapshot when a checkpoint boundary was crossed."""
+    def apply(self, grads: GradientSet) -> int:
+        """Adam-update the global set; returns the new epoch number."""
         cfg = self._cfg
-        with self._lock:
-            adam_apply(self._params, grads, cfg.learning_rate, cfg.adam_beta1,
-                       cfg.adam_beta2, cfg.adam_eps, cfg.grad_clip)
-            self.epoch += 1
-            epoch = self.epoch
-            snapshot = None
-            if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-                snapshot = self._params.clone()
-            if epoch >= cfg.epochs:
-                self._stop.set()
-        return epoch, snapshot
+        adam_apply(self.params, grads, cfg.learning_rate, cfg.adam_beta1,
+                   cfg.adam_beta2, cfg.adam_eps, cfg.grad_clip)
+        self.epoch += 1
+        return self.epoch
 
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs; topology and paths are shared read-only."""
+    """What every actor shares: the global store and the run's outputs."""
 
     cfg: TrainingConfig
-    topology: Topology
-    paths: dict[tuple[int, int], tuple[CandidatePath, ...]]
     encoder: StateEncoder
-    traffic: TrafficConfig
     store: ParamStore
     metrics: MetricsWriter | None
-    k_paths: int
-    j_blocks: int
-    slot_capacity_gbps: float
-    stats_window: int = 10_000
-    out_dir: Path | None = None
-    env_registry: list = field(default_factory=list)
-
-    def make_env(self, worker_id: int) -> RmsaEnv:
-        env = RmsaEnv(self.topology, self.paths, self.traffic,
-                      k_paths=self.k_paths, j_blocks=self.j_blocks,
-                      seed=self.cfg.seed + worker_id,
-                      slot_capacity_gbps=self.slot_capacity_gbps,
-                      stats_window=self.stats_window)
-        self.env_registry.append(env)
-        return env
+    out_dir: Path | None
 
 
-def _train_batch(worker_id: int, local: ParamSet, ctx: WorkerContext,
-                 env: RmsaEnv, samples: list[ExperienceSample],
-                 returns: np.ndarray) -> int:
+@dataclass
+class Actor:
+    """One worker's private state."""
+
+    worker_id: int
+    env: RmsaEnv
+    params: ParamSet
+    rng: np.random.Generator
+    buffer: list[ExperienceSample] = field(default_factory=list)
+
+
+def _train_batch(actor: Actor, ctx: WorkerContext,
+                 samples: list[ExperienceSample], returns: np.ndarray) -> None:
     cfg = ctx.cfg
     states = np.stack([smp.state for smp in samples])
     actions = np.array([smp.action for smp in samples], dtype=np.intp)
     values = np.array([smp.value for smp in samples])
     batch = Batch(states, actions, advantages(returns, values), returns)
-    grads, stats = backward(local, batch, cfg.entropy_weight, cfg.entropy_sign)
-    epoch, snapshot = ctx.store.apply(grads)
-    if snapshot is not None and ctx.out_dir is not None:
-        save_checkpoint(snapshot, ctx.out_dir / f"checkpoint-{epoch}.npz")
+    grads, stats = backward(actor.params, batch, cfg.entropy_weight,
+                            cfg.entropy_sign)
+    epoch = ctx.store.apply(grads)
+    if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
+            and ctx.out_dir is not None):
+        save_checkpoint(ctx.store.params,
+                        ctx.out_dir / f"checkpoint-{epoch}.npz")
     if ctx.metrics is not None:
+        env_stats = actor.env.stats
         window = cfg.metrics_window
         ctx.metrics.write_row(
-            epoch, worker_id, env.stats.total, env.stats.blocked,
-            env.stats.window_reward(window),
-            env.stats.blocking_probability(window),
+            epoch, actor.worker_id, env_stats.total, env_stats.blocked,
+            env_stats.window_reward(window),
+            env_stats.blocking_probability(window),
             stats.policy_loss, stats.value_loss, stats.entropy)
-    return epoch
 
 
-def run_actor_learner_ep(worker_id: int, ctx: WorkerContext) -> None:
-    """Episode-based worker: sync at each episode start, act for N
-    requests with a position indicator in the state, then train on the
-    whole episode and empty the buffer."""
+def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
+               returns_fn: Callable[[np.ndarray, float], np.ndarray],
+               episode_pos: tuple[int, int] | None) -> None:
+    """Serve one request for ``actor`` under a return rule.
+
+    The local networks resync when the buffer holds 0 or
+    ``trigger - N`` samples; once it holds ``trigger`` samples,
+    ``returns_fn(rewards, gamma)`` gives the returns of the first N,
+    which are trained on and dropped.
+    """
     cfg = ctx.cfg
-    store = ctx.store
-    env = ctx.make_env(worker_id)
-    local = store.snapshot()
-    action_rng = np.random.default_rng([cfg.seed, worker_id, 0xA5])
     n = cfg.batch_size
-    buffer: list[ExperienceSample] = []
-    while not store.should_stop():
-        if not buffer:
-            store.sync_into(local)
-        req = env.arrive()
-        state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                                   episode_pos=(len(buffer) + 1, n))
-        probs = forward_policy(local, state)
-        value = forward_value(local, state)
-        action = roulette_select(probs, action_rng)
-        outcome = env.step(req, action)
-        buffer.append(ExperienceSample(state, action, value, outcome.reward))
-        if len(buffer) == n:
-            rewards = np.array([smp.reward for smp in buffer])
-            returns = discounted_returns(rewards, cfg.gamma)
-            _train_batch(worker_id, local, ctx, env, buffer, returns)
-            buffer.clear()
+    buffer = actor.buffer
+    if len(buffer) in (0, trigger - n):
+        ctx.store.sync_into(actor.params)
+    env = actor.env
+    req = env.arrive()
+    state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
+                               episode_pos=episode_pos)
+    probs = forward_policy(actor.params, state)
+    value = forward_value(actor.params, state)
+    action = roulette_select(probs, actor.rng)
+    outcome = env.step(req, action)
+    buffer.append(ExperienceSample(state, action, value, outcome.reward))
+    if len(buffer) == trigger:
+        rewards = np.array([smp.reward for smp in buffer])
+        _train_batch(actor, ctx, buffer[:n], returns_fn(rewards, cfg.gamma))
+        del buffer[:n]
 
 
-def run_actor_learner_flx(worker_id: int, ctx: WorkerContext) -> None:
-    """Sliding-window worker: train once 2N - 1 samples are buffered,
-    giving each of the first N samples a full N-reward return, then drop
-    those N samples; resync whenever N - 1 samples remain."""
-    cfg = ctx.cfg
-    store = ctx.store
-    env = ctx.make_env(worker_id)
-    local = store.snapshot()
-    action_rng = np.random.default_rng([cfg.seed, worker_id, 0xA5])
-    n = cfg.batch_size
-    sync_len = n - 1
-    buffer: list[ExperienceSample] = []
-    while not store.should_stop():
-        if len(buffer) in (0, sync_len):
-            store.sync_into(local)
-        req = env.arrive()
-        state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req))
-        probs = forward_policy(local, state)
-        value = forward_value(local, state)
-        action = roulette_select(probs, action_rng)
-        outcome = env.step(req, action)
-        buffer.append(ExperienceSample(state, action, value, outcome.reward))
-        if len(buffer) == 2 * n - 1:
-            rewards = np.array([smp.reward for smp in buffer])
-            returns = sliding_window_returns(rewards, cfg.gamma, n)
-            _train_batch(worker_id, local, ctx, env, buffer[:n], returns)
-            del buffer[:n]
+def run_actor_learner_ep(actor: Actor, ctx: WorkerContext) -> None:
+    """Episode rule: trigger N, position indicator in the state."""
+    n = ctx.cfg.batch_size
+    actor_step(actor, ctx, n, discounted_returns, (len(actor.buffer) + 1, n))
 
 
+def run_actor_learner_flx(actor: Actor, ctx: WorkerContext) -> None:
+    """Sliding-window rule: trigger 2N - 1, N-reward window per sample."""
+    n = ctx.cfg.batch_size
+    actor_step(actor, ctx, 2 * n - 1,
+               partial(sliding_window_returns, window=n), None)
+
+
+# mode -> one-request step, looked up when a run starts
 _WORKER_LOOPS = {"ep": run_actor_learner_ep, "flx": run_actor_learner_flx}
 
 
@@ -346,7 +302,8 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                  input_gain: float = 2.5, stats_window: int = 10_000,
                  out_dir: str | Path | None = None,
                  progress: bool = False) -> TrainingResult:
-    """Run the full parallel training loop and return pooled statistics.
+    """Run lockstep rounds until ``cfg.epochs`` gradient applications,
+    then return pooled statistics.
 
     When ``out_dir`` is given, a metrics CSV and parameter checkpoints
     are written there; the run aborts (with metrics flushed) if any
@@ -363,56 +320,49 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         bandwidth_max_gbps=traffic.bandwidth_max)
     layer_spec = LayerSpec(encoder.length, hidden_layers, hidden_width,
                            k_paths * j_blocks)
-    global_params = init_params(layer_spec, cfg.seed, shared_hidden,
-                                input_gain=input_gain)
-    store = ParamStore(global_params, cfg, out_path)
+    store = ParamStore(init_params(layer_spec, cfg.seed, shared_hidden,
+                                   input_gain=input_gain), cfg)
+    actors = [
+        Actor(worker_id,
+              RmsaEnv(topology, paths, traffic, k_paths=k_paths,
+                      j_blocks=j_blocks, seed=cfg.seed + worker_id,
+                      slot_capacity_gbps=slot_capacity_gbps,
+                      stats_window=stats_window),
+              store.params.clone(),
+              np.random.default_rng([cfg.seed, worker_id, 0xA5]))
+        for worker_id in range(cfg.worker_count)]
     metrics = MetricsWriter(out_path / "metrics.csv") if out_path else None
+    ctx = WorkerContext(cfg=cfg, encoder=encoder, store=store,
+                        metrics=metrics, out_dir=out_path)
 
-    ctx = WorkerContext(cfg=cfg, topology=topology, paths=paths,
-                        encoder=encoder, traffic=traffic, store=store,
-                        metrics=metrics, k_paths=k_paths, j_blocks=j_blocks,
-                        slot_capacity_gbps=slot_capacity_gbps,
-                        stats_window=stats_window, out_dir=out_path)
-
-    loop = _WORKER_LOOPS[cfg.mode]
-
-    def worker_main(worker_id: int) -> None:
-        try:
-            loop(worker_id, ctx)
-        except BaseException as exc:  # noqa: BLE001 - must surface any failure
-            store.fail(worker_id, exc)
-
-    threads = [threading.Thread(target=worker_main, args=(i,),
-                                name=f"actor-{i}", daemon=True)
-               for i in range(cfg.worker_count)]
+    step = _WORKER_LOOPS[cfg.mode]
+    report_every = max(1, cfg.epochs // 20)
+    last_report = 0
     try:
-        for t in threads:
-            t.start()
-        last_report = 0
-        while any(t.is_alive() for t in threads):
-            for t in threads:
-                t.join(timeout=0.5)
-            if progress and cfg.epochs > 0:
-                step = max(1, cfg.epochs // 20)
-                if store.epoch >= last_report + step:
-                    last_report = store.epoch
-                    print(f"  epoch {store.epoch}/{cfg.epochs}", flush=True)
+        while store.epoch < cfg.epochs:
+            for actor in actors:
+                try:
+                    step(actor, ctx)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"worker {actor.worker_id} failed: {exc}") from exc
+                if store.epoch == cfg.epochs:
+                    break
+            if progress and store.epoch >= last_report + report_every:
+                last_report = store.epoch
+                print(f"  epoch {store.epoch}/{cfg.epochs}", flush=True)
     finally:
         if metrics is not None:
             metrics.close()
 
-    if store.failure is not None:
-        worker_id, exc = store.failure
-        raise RuntimeError(f"worker {worker_id} failed: {exc}") from exc
-
-    final = store.snapshot()
+    final = store.params
     checkpoint_path = None
     if out_path is not None:
         checkpoint_path = out_path / f"checkpoint-{store.epoch}.npz"
         save_checkpoint(final, checkpoint_path)
         save_checkpoint(final, out_path / "checkpoint-final.npz")
 
-    live_stats = [env.stats for env in ctx.env_registry]
+    live_stats = [actor.env.stats for actor in actors]
     total = sum(s.total for s in live_stats)
     blocked = sum(s.blocked for s in live_stats)
     return TrainingResult(
@@ -420,8 +370,7 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         total_requests=total,
         total_blocked=blocked,
         blocking_probability=blocked / total if total else float("nan"),
-        trailing_blocking=(pooled_trailing_blocking(live_stats, stats_window)
-                           if live_stats else float("nan")),
+        trailing_blocking=pooled_trailing_blocking(live_stats, stats_window),
         params=final,
         metrics_path=(out_path / "metrics.csv") if out_path else None,
         checkpoint_path=checkpoint_path,

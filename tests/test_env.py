@@ -121,7 +121,7 @@ def test_ksp_accepts_superset_of_sp_decisions(nsfnet, nsfnet_paths):
         # feasibility of SP on the KSP env state is what KSP must dominate
         path0 = ksp_env.candidate_paths(ksp_req)[0]
         n = required_slots(ksp_req.bandwidth_gbps, path0.modulation)
-        sp_would_fit = ksp_env._first_fit_start(path0, n) is not None
+        sp_would_fit = ksp_env.spectrum.usable_block_start(path0, n) is not None
         out = ksp_env.ksp_ff(ksp_req)
         if sp_would_fit:
             sp_feasible_total += 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmsalab.errors import ContractViolation
-from rmsalab.spectrum import FreeBlock, NetworkSpectrum, first_fit
+from rmsalab.spectrum import NetworkSpectrum
 from rmsalab.topology import k_shortest_paths
 
 
@@ -19,46 +19,51 @@ def _one_link_path(line, src, dst):
     return k_shortest_paths(line, src, dst, 1)[0]
 
 
+def spans(spectrum, path):
+    """(start, size) of every maximal free block along ``path``."""
+    starts, sizes = spectrum.block_spans(path)
+    return list(zip(starts.tolist(), sizes.tolist()))
+
+
 def test_available_blocks_intersection(line, line_spectrum):
     # link 0 free slots {1,2,3,7,8}; link 1 free slots {2,3,4,8,9}
     line_spectrum._occupancy[0] = True
     line_spectrum._occupancy[0, [1, 2, 3, 7, 8]] = False
     line_spectrum._occupancy[1] = True
     line_spectrum._occupancy[1, [2, 3, 4, 8, 9]] = False
-    blocks = line_spectrum.available_blocks(_two_link_path(line))
-    assert blocks == [FreeBlock(2, 2), FreeBlock(8, 1)]
+    assert spans(line_spectrum, _two_link_path(line)) == [(2, 2), (8, 1)]
 
 
 def test_all_free_grid_single_block(nsfnet, nsfnet_paths):
     spectrum = NetworkSpectrum(nsfnet)
-    blocks = spectrum.available_blocks(nsfnet_paths[(0, 5)][0])
-    assert blocks == [FreeBlock(0, 100)]
+    assert spans(spectrum, nsfnet_paths[(0, 5)][0]) == [(0, 100)]
 
 
 def test_fully_occupied_no_blocks(line, line_spectrum):
     line_spectrum._occupancy[:] = True
-    assert line_spectrum.available_blocks(_two_link_path(line)) == []
+    assert spans(line_spectrum, _two_link_path(line)) == []
 
 
 @pytest.mark.parametrize("n,expected", [(3, 8), (2, 3), (6, None), (5, 8)])
-def test_first_fit(n, expected):
-    blocks = [FreeBlock(3, 2), FreeBlock(8, 5)]
-    assert first_fit(blocks, n) == expected
+def test_first_fit(n, expected, nsfnet, nsfnet_paths):
+    spectrum = NetworkSpectrum(nsfnet)
+    path = nsfnet_paths[(0, 5)][0]
+    spectrum._occupancy[:] = True
+    spectrum._occupancy[:, [3, 4, 8, 9, 10, 11, 12]] = False
+    assert spans(spectrum, path) == [(3, 2), (8, 5)]
+    assert spectrum.usable_block_start(path, n) == expected
 
 
 def test_allocate_removes_block(line, line_spectrum):
     path = _two_link_path(line)
     line_spectrum.allocate(path, 2, 3, lightpath_id=1, expiry=5.0)
-    blocks = line_spectrum.available_blocks(path)
-    assert blocks == [FreeBlock(0, 2), FreeBlock(5, 5)]
+    assert spans(line_spectrum, path) == [(0, 2), (5, 5)]
 
 
 def test_allocate_shrinks_other_paths_sharing_a_link(line, line_spectrum):
     line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 4, 1, 1.0)
-    assert line_spectrum.available_blocks(_two_link_path(line)) == [
-        FreeBlock(4, 6)]
-    assert line_spectrum.available_blocks(_one_link_path(line, 1, 2)) == [
-        FreeBlock(0, 10)]
+    assert spans(line_spectrum, _two_link_path(line)) == [(4, 6)]
+    assert spans(line_spectrum, _one_link_path(line, 1, 2)) == [(0, 10)]
 
 
 def test_double_allocate_same_range_rejected(line, line_spectrum):
@@ -117,9 +122,13 @@ def test_path_stats_examples(line, line_spectrum, nsfnet):
 def test_usable_block_spans_filters_small_blocks(line, line_spectrum):
     line_spectrum._occupancy[:] = True
     line_spectrum._occupancy[:, [0, 3, 4, 5, 9]] = False
-    starts, sizes = line_spectrum.usable_block_spans(_two_link_path(line), 2)
-    assert starts.tolist() == [3]
-    assert sizes.tolist() == [3]
+    path = _two_link_path(line)
+    assert spans(line_spectrum, path) == [(0, 1), (3, 3), (9, 1)]
+    # the only block that holds 2 slots is the one of size 3 at slot 3
+    assert line_spectrum.usable_block_start(path, 2) == 3
+    assert line_spectrum.usable_block_start(path, 2, 1) is None
+    assert [line_spectrum.usable_block_start(path, 1, j)
+            for j in range(4)] == [0, 3, 9, None]
 
 
 def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
@@ -138,7 +147,7 @@ def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
             pair = pairs[int(rng.integers(len(pairs)))]
             path = nsfnet_paths[pair][int(rng.integers(5))]
             n = int(rng.integers(1, 9))
-            start = first_fit(spectrum.available_blocks(path), n)
+            start = spectrum.usable_block_start(path, n)
             if start is None:
                 continue
             spectrum.allocate(path, start, n, next_id, expiry=0.0)
@@ -160,26 +169,29 @@ def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
     for pair in [(0, 5), (3, 9), (12, 2)]:
         for path in nsfnet_paths[pair]:
             mask = spectrum.path_free_mask(path)
-            blocks = spectrum.available_blocks(path)
+            blocks = spans(spectrum, path)
             rebuilt = np.zeros_like(mask)
             prev_end = -1
-            for block in blocks:
-                assert block.size >= 1
-                assert block.start > prev_end  # disjoint and sorted
+            for start, size in blocks:
+                assert size >= 1
+                assert start > prev_end  # disjoint and sorted
                 # maximal: bordered by occupied slots or the grid edge
-                if block.start > 0:
-                    assert not mask[block.start - 1]
-                end = block.start + block.size
+                if start > 0:
+                    assert not mask[start - 1]
+                end = start + size
                 if end < mask.size:
                     assert not mask[end]
-                rebuilt[block.start:end] = True
+                rebuilt[start:end] = True
                 prev_end = end
             assert np.array_equal(rebuilt, mask)
-            # first_fit returns the minimal feasible start
+            # j = 0 is the minimal feasible start, j the j-th feasible one
             for n in (1, 3, 8):
-                start = first_fit(blocks, n)
-                feasible = [b.start for b in blocks if b.size >= n]
-                assert start == (min(feasible) if feasible else None)
+                feasible = [b for b, z in blocks if z >= n]
+                assert spectrum.usable_block_start(path, n) == (
+                    min(feasible) if feasible else None)
+                for j in range(3):
+                    assert spectrum.usable_block_start(path, n, j) == (
+                        feasible[j] if j < len(feasible) else None)
 
 
 def test_dump_is_zero_one_rows(line, line_spectrum):

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmsalab.env import RmsaEnv
+import rmsalab.trainer as trainer_mod
 from rmsalab.features import StateEncoder
 from rmsalab.neuralnet import LayerSpec, forward_policy, init_params, load_checkpoint
-from rmsalab.topology import precompute_paths
 from rmsalab.traffic import TrafficConfig
-from rmsalab.trainer import (MetricsWriter, ParamStore, TrainingConfig,
-                             WorkerContext, advantages, discounted_returns,
-                             roulette_select, run_actor_learner_ep,
-                             run_actor_learner_flx, run_training,
+from rmsalab.trainer import (TrainingConfig, advantages, discounted_returns,
+                             roulette_select, run_training,
                              sliding_window_returns)
 
 
@@ -121,23 +118,17 @@ def test_roulette_empirical_distribution():
             np.searchsorted(np.cumsum(probs), value, side="left"))
 
 
-# --- worker loops ----------------------------------------------------------
+# --- lockstep training loop -------------------------------------------------
 
 
-def small_ctx(nsfnet, nsfnet_paths, tmp_path, mode, epochs, batch_size=5,
-              workers=1, seed=0, metrics=True):
+def small_run(nsfnet, nsfnet_paths, out_dir, mode, epochs, batch_size=5,
+              workers=1, seed=0, checkpoint_every=0):
     cfg = TrainingConfig(epochs=epochs, batch_size=batch_size,
-                         worker_count=workers, mode=mode, seed=seed)
-    traffic = TrafficConfig(10.0, 15.0)
-    encoder = StateEncoder(nsfnet, k_paths=5, j_blocks=1, mode=mode,
-                           mean_duration=15.0)
-    params = init_params(LayerSpec(encoder.length, 2, 16, 5), seed)
-    store = ParamStore(params, cfg, tmp_path)
-    writer = MetricsWriter(tmp_path / "metrics.csv") if metrics else None
-    return WorkerContext(cfg=cfg, topology=nsfnet, paths=nsfnet_paths,
-                         encoder=encoder, traffic=traffic, store=store,
-                         metrics=writer, k_paths=5, j_blocks=1,
-                         slot_capacity_gbps=12.5, out_dir=tmp_path)
+                         worker_count=workers, mode=mode, seed=seed,
+                         checkpoint_every=checkpoint_every)
+    return run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
+                        k_paths=5, hidden_layers=2, hidden_width=16,
+                        out_dir=out_dir)
 
 
 def read_metrics(path):
@@ -147,46 +138,55 @@ def read_metrics(path):
 
 
 def test_ep_trains_once_per_batch(nsfnet, nsfnet_paths, tmp_path):
-    ctx = small_ctx(nsfnet, nsfnet_paths, tmp_path, "ep", epochs=4)
-    run_actor_learner_ep(0, ctx)
-    ctx.metrics.close()
+    small_run(nsfnet, nsfnet_paths, tmp_path, "ep", epochs=4)
     rows = read_metrics(tmp_path / "metrics.csv")
     assert [int(r["epoch"]) for r in rows] == [1, 2, 3, 4]
     # one gradient application per batch_size requests, exactly
     assert [int(r["requests_total"]) for r in rows] == [5, 10, 15, 20]
 
 
-def test_ep_position_indicator_sequence(nsfnet, nsfnet_paths, tmp_path):
-    ctx = small_ctx(nsfnet, nsfnet_paths, tmp_path, "ep", epochs=2,
-                    batch_size=3)
+def test_ep_position_indicator_sequence(nsfnet, nsfnet_paths, tmp_path,
+                                        monkeypatch):
     seen = []
-    original = ctx.encoder.encode
+    original = StateEncoder.encode
 
-    def spy(req, spectrum, paths, episode_pos=None):
+    def spy(self, req, spectrum, paths, episode_pos=None):
         seen.append(episode_pos)
-        return original(req, spectrum, paths, episode_pos=episode_pos)
+        return original(self, req, spectrum, paths, episode_pos=episode_pos)
 
-    ctx.encoder.encode = spy
-    run_actor_learner_ep(0, ctx)
-    ctx.metrics.close()
+    monkeypatch.setattr(StateEncoder, "encode", spy)
+    small_run(nsfnet, nsfnet_paths, tmp_path, "ep", epochs=2, batch_size=3)
     assert seen == [(1, 3), (2, 3), (3, 3)] * 2
     # position feature values: (N - i + 1) / N
     assert [(n - i + 1) / n for i, n in seen[:3]] == [1.0, 2 / 3, 1 / 3]
 
 
 def test_flx_training_cadence(nsfnet, nsfnet_paths, tmp_path):
-    ctx = small_ctx(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=4)
-    run_actor_learner_flx(0, ctx)
-    ctx.metrics.close()
+    small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=4)
     rows = read_metrics(tmp_path / "metrics.csv")
     # first training at 2N-1 = 9 samples, then every N = 5
     assert [int(r["requests_total"]) for r in rows] == [9, 14, 19, 24]
 
 
+@pytest.mark.parametrize("mode", ["ep", "flx"])
+def test_syncs_only_at_rule_sync_points(nsfnet, nsfnet_paths, tmp_path,
+                                        monkeypatch, mode):
+    syncs = []
+    original = trainer_mod.ParamStore.sync_into
+
+    def spy(self, local):
+        syncs.append(self.epoch)
+        original(self, local)
+
+    monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", spy)
+    small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=3)
+    # ep resyncs at each episode start; flx also when N - 1 samples remain
+    expected = {"ep": [0, 1, 2], "flx": [0, 0, 1, 2]}[mode]
+    assert syncs == expected
+
+
 def test_entropy_column_within_bounds(nsfnet, nsfnet_paths, tmp_path):
-    ctx = small_ctx(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=6)
-    run_actor_learner_flx(0, ctx)
-    ctx.metrics.close()
+    small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=6)
     for row in read_metrics(tmp_path / "metrics.csv"):
         assert 0.0 <= float(row["entropy"]) <= math.log(5) + 1e-9
 
@@ -197,22 +197,44 @@ def test_single_worker_runs_are_reproducible(nsfnet, nsfnet_paths, tmp_path,
     outs = []
     for name in ("a", "b"):
         out = tmp_path / f"{mode}-{name}"
-        cfg = TrainingConfig(epochs=6, batch_size=5, worker_count=1,
-                             mode=mode, seed=7)
-        run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
-                     k_paths=5, hidden_layers=2, hidden_width=16,
-                     out_dir=out)
+        small_run(nsfnet, nsfnet_paths, out, mode, epochs=6, seed=7)
         outs.append((out / "metrics.csv").read_bytes())
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("mode", ["ep", "flx"])
+def test_multi_worker_runs_are_reproducible(nsfnet, nsfnet_paths, tmp_path,
+                                            mode):
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{mode}-{name}"
+        small_run(nsfnet, nsfnet_paths, out, mode, epochs=40, batch_size=10,
+                  workers=2, seed=7)
+        outs.append(((out / "metrics.csv").read_bytes(),
+                     (out / "checkpoint-final.npz").read_bytes()))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["ep", "flx"])
+def test_final_epoch_is_exact(nsfnet, nsfnet_paths, tmp_path, mode, workers):
+    # 7 epochs is not a multiple of 2 or 3 workers
+    result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=7,
+                       workers=workers)
+    assert result.final_epoch == 7
+    rows = read_metrics(tmp_path / "metrics.csv")
+    assert [int(r["epoch"]) for r in rows] == list(range(1, 8))
+    # gradients are applied in worker order within a round
+    order = [int(r["worker"]) for r in rows]
+    assert order == [i % workers for i in range(7)]
+    assert sorted(p.name for p in tmp_path.glob("checkpoint-*.npz")) == [
+        "checkpoint-7.npz", "checkpoint-final.npz"]
+
+
 def test_run_training_writes_checkpoints(nsfnet, nsfnet_paths, tmp_path):
-    cfg = TrainingConfig(epochs=4, batch_size=5, worker_count=2, mode="flx",
-                         seed=0, checkpoint_every=2)
-    result = run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
-                          k_paths=5, hidden_layers=2, hidden_width=16,
-                          out_dir=tmp_path)
-    assert result.final_epoch >= 4
+    result = small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=4,
+                       workers=2, checkpoint_every=2)
+    assert result.final_epoch == 4
     assert (tmp_path / "checkpoint-2.npz").exists()
     assert (tmp_path / "checkpoint-final.npz").exists()
     final = load_checkpoint(tmp_path / "checkpoint-final.npz")
@@ -223,11 +245,8 @@ def test_run_training_writes_checkpoints(nsfnet, nsfnet_paths, tmp_path):
 
 
 def test_zero_epochs_returns_untrained_params(nsfnet, nsfnet_paths, tmp_path):
-    cfg = TrainingConfig(epochs=0, batch_size=5, worker_count=2, mode="flx",
-                         seed=3)
-    result = run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
-                          k_paths=5, hidden_layers=2, hidden_width=16,
-                          out_dir=tmp_path)
+    result = small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=0,
+                       workers=2, seed=3)
     assert result.final_epoch == 0
     assert result.total_requests == 0
     reference = init_params(LayerSpec(54, 2, 16, 5), 3, input_gain=2.5)
@@ -237,40 +256,29 @@ def test_zero_epochs_returns_untrained_params(nsfnet, nsfnet_paths, tmp_path):
     assert probs.max() < 0.25  # near-uniform policy before any training
 
 
-def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path):
-    cfg = TrainingConfig(epochs=50, batch_size=5, worker_count=2, mode="flx",
-                         seed=0)
-    traffic = TrafficConfig(10.0, 15.0)
-    encoder = StateEncoder(nsfnet, k_paths=5, j_blocks=1, mode="flx",
-                           mean_duration=15.0)
+def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
+                                   monkeypatch):
     calls = {"n": 0}
-    original = encoder.encode
+    original = StateEncoder.encode
 
-    def exploding(req, spectrum, paths, episode_pos=None):
+    def exploding(self, req, spectrum, paths, episode_pos=None):
         calls["n"] += 1
         if calls["n"] > 12:
             raise RuntimeError("synthetic worker fault")
-        return original(req, spectrum, paths, episode_pos=episode_pos)
+        return original(self, req, spectrum, paths, episode_pos=episode_pos)
 
-    encoder.encode = exploding
-    import rmsalab.trainer as trainer_mod
-    params = init_params(LayerSpec(encoder.length, 2, 16, 5), 0)
-    store = ParamStore(params, cfg, tmp_path)
-    writer = MetricsWriter(tmp_path / "metrics.csv")
-    ctx = WorkerContext(cfg=cfg, topology=nsfnet, paths=nsfnet_paths,
-                        encoder=encoder, traffic=traffic, store=store,
-                        metrics=writer, k_paths=5, j_blocks=1,
-                        slot_capacity_gbps=12.5, out_dir=tmp_path)
-    with pytest.raises(RuntimeError, match="synthetic worker fault"):
-        run_actor_learner_flx(0, ctx)
-    writer.close()
+    monkeypatch.setattr(StateEncoder, "encode", exploding)
+    # the 13th request is served by worker 0 in the seventh round
+    with pytest.raises(RuntimeError,
+                       match="worker 0 failed: synthetic worker fault"):
+        small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=50, workers=2)
+    # the fault hit before the first training at 2N - 1 = 9 samples
+    assert read_metrics(tmp_path / "metrics.csv") == []
 
 
 def test_run_training_surfaces_worker_failure(nsfnet, nsfnet_paths, tmp_path,
                                               monkeypatch):
-    import rmsalab.trainer as trainer_mod
-
-    def explode(worker_id, ctx):
+    def explode(actor, ctx):
         raise RuntimeError("boom in worker")
 
     monkeypatch.setitem(trainer_mod._WORKER_LOOPS, "flx", explode)
