@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (BASELINE_MODES, LEARNING_MODES, MODES, RunConfig,
-                     load_config)
+from .config import BASELINE_MODES, LEARNING_MODES, RunConfig, load_config
 from .env import RmsaEnv
 from .errors import ConfigError
 from .features import StateEncoder
@@ -79,10 +78,6 @@ def _simulate(cfg: RunConfig, out_dir: Path, decide, label: str) -> dict:
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.mode not in LEARNING_MODES:
-        raise ConfigError(
-            f"mode: train needs one of {'|'.join(LEARNING_MODES)}, "
-            f"got {cfg.mode!r}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.used").write_text(cfg.to_text())
     topo = cfg.load_topology()
@@ -112,10 +107,6 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.mode not in BASELINE_MODES:
-        raise ConfigError(
-            f"mode: baseline needs one of {'|'.join(BASELINE_MODES)}, "
-            f"got {cfg.mode!r}")
     if cfg.mode == "spff":
         _simulate(cfg, out_dir, lambda env, req: env.sp_ff(req), "baseline-spff")
     else:
@@ -128,13 +119,9 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     if not cfg.checkpoint:
         raise ConfigError("checkpoint: eval needs a checkpoint path "
                           "(config key or --checkpoint)")
-    if cfg.mode not in LEARNING_MODES:
-        raise ConfigError(
-            f"mode: eval needs one of {'|'.join(LEARNING_MODES)}, "
-            f"got {cfg.mode!r}")
     try:
         params = load_checkpoint(cfg.checkpoint)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}"
                           ) from None
     topo = cfg.load_topology()
@@ -235,47 +222,36 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# run subcommand -> (handler, the modes it accepts, help text)
+COMMANDS = {
+    "train": (cmd_train, LEARNING_MODES, "run a learning experiment"),
+    "baseline": (cmd_baseline, BASELINE_MODES, "run a heuristic baseline"),
+    "eval": (cmd_eval, LEARNING_MODES, "greedy replay of a checkpoint"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmsalab",
         description="Elastic optical network provisioning experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p: argparse.ArgumentParser, modes) -> None:
+    for name, (_, modes, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config file")
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--mode", choices=modes, default=None)
         p.add_argument("--epochs", type=int, default=None)
-
-    p_train = sub.add_parser("train", help="run a learning experiment")
-    add_run_args(p_train, LEARNING_MODES)
-
-    p_base = sub.add_parser("baseline", help="run a heuristic baseline")
-    add_run_args(p_base, BASELINE_MODES)
-
-    p_eval = sub.add_parser("eval", help="greedy replay of a checkpoint")
-    add_run_args(p_eval, LEARNING_MODES)
-    p_eval.add_argument("--checkpoint", default=None,
-                        help="parameter checkpoint to load")
+        if name == "eval":
+            p.add_argument("--checkpoint", default=None,
+                           help="parameter checkpoint to load")
 
     p_sum = sub.add_parser("summarize", help="compare metrics files")
     p_sum.add_argument("metrics", nargs="+", help="metrics.csv paths")
     p_sum.add_argument("--tail", type=int, default=50,
                        help="rows of the final window (default 50)")
     return parser
-
-
-def run(command: str, cfg: RunConfig, out_dir: Path) -> int:
-    """Programmatic entry point for the run-style subcommands."""
-    cfg.validate()
-    if command == "train":
-        return cmd_train(cfg, out_dir)
-    if command == "baseline":
-        return cmd_baseline(cfg, out_dir)
-    if command == "eval":
-        return cmd_eval(cfg, out_dir)
-    raise ConfigError(f"unknown command {command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -285,8 +261,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.tail < 1:
                 raise ConfigError("tail: must be >= 1")
             return cmd_summarize([Path(p) for p in args.metrics], args.tail)
+        handler, modes, _ = COMMANDS[args.command]
         cfg = _apply_overrides(load_config(args.config), args)
-        return run(args.command, cfg, Path(args.out))
+        if cfg.mode not in modes:
+            raise ConfigError(f"mode: {args.command} needs one of "
+                              f"{'|'.join(modes)}, got {cfg.mode!r}")
+        return handler(cfg, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,9 +1,11 @@
 """Flat key-value run configuration.
 
-One file drives every experiment; every learning hyperparameter has the
-reference experiment's value as its default, so an empty file is a valid
-NSFNET training config. Lines are ``key = value``; ``#`` starts a
-comment.
+One file drives every experiment. ``RunConfig`` is the only place where a
+run setting has a default or is validated: every setting defaults to the
+reference experiment's value, so an empty file is a valid NSFNET
+training config, and the traffic, training, reach-table and topology
+pieces the rest of the package takes are derived from a validated
+``RunConfig``. Lines are ``key = value``; ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from .topology import load_topology
 from .traffic import TrafficConfig
 from .trainer import TrainingConfig
 
-MODES = ("ep", "flx", "spff", "kspff")
 LEARNING_MODES = ("ep", "flx")
 BASELINE_MODES = ("spff", "kspff")
+MODES = LEARNING_MODES + BASELINE_MODES
 ENTROPY_SIGNS = {"bonus": -1.0, "literal": 1.0}
 
 
@@ -101,14 +103,18 @@ class RunConfig:
     # ---- derived pieces ------------------------------------------------
 
     def reach_table(self) -> tuple[tuple[int, float], ...]:
+        """(modulation order, reach in km), highest order first; order 1
+        (BPSK) has unlimited reach."""
         return ((4, self.reach_16qam), (3, self.reach_8qam),
                 (2, self.reach_qpsk), (1, math.inf))
 
     def traffic(self) -> TrafficConfig:
+        self.validate()
         return TrafficConfig(self.arrival_rate, self.mean_duration,
                              self.bandwidth_min, self.bandwidth_max)
 
     def training(self) -> TrainingConfig:
+        self.validate()
         if self.mode not in LEARNING_MODES:
             raise ConfigError(
                 f"mode: {self.mode!r} is not a learning mode "

@@ -33,7 +33,7 @@ class ProvisionOutcome:
 class BlockingStats:
     """Accepted/blocked counters with a bounded trailing window."""
 
-    def __init__(self, window_cap: int = 10_000):
+    def __init__(self, window_cap: int):
         self.window_cap = window_cap
         self.total = 0
         self.blocked = 0
@@ -83,9 +83,8 @@ class RmsaEnv:
 
     def __init__(self, topology: Topology,
                  path_table: dict[tuple[int, int], tuple[CandidatePath, ...]],
-                 traffic: TrafficConfig, *, k_paths: int, j_blocks: int = 1,
-                 seed: int = 0, slot_capacity_gbps: float = 12.5,
-                 stats_window: int = 10_000):
+                 traffic: TrafficConfig, *, k_paths: int, j_blocks: int,
+                 seed: int, slot_capacity_gbps: float, stats_window: int):
         self.topology = topology
         self.paths = path_table
         self.k_paths = k_paths

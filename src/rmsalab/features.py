@@ -29,8 +29,6 @@ from .traffic import Request
 # "infeasible" from "fits near slot 0".
 MISSING_BLOCK = (-1.0, 0.0)
 
-MODES = ("ep", "flx")
-
 
 def state_length(node_count: int, k_paths: int, j_blocks: int,
                  with_position: bool) -> int:
@@ -41,14 +39,9 @@ def state_length(node_count: int, k_paths: int, j_blocks: int,
 class StateEncoder:
     """Pure encoder from (request, spectrum snapshot) to a feature array."""
 
-    def __init__(self, topology: Topology, *, k_paths: int, j_blocks: int = 1,
-                 mode: str = "flx", mean_duration: float = 1.0,
-                 slot_capacity_gbps: float = 12.5,
-                 bandwidth_max_gbps: float = 100.0):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        if k_paths < 1 or j_blocks < 1:
-            raise ValueError("k_paths and j_blocks must be positive")
+    def __init__(self, topology: Topology, *, k_paths: int, j_blocks: int,
+                 mode: str, mean_duration: float, slot_capacity_gbps: float,
+                 bandwidth_max_gbps: float):
         self.node_count = topology.num_nodes
         self.slot_count = topology.slot_count
         self.k_paths = k_paths

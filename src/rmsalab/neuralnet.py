@@ -112,13 +112,7 @@ class ParamSet:
         else:
             vw = [w.copy() for w in self.value_weights]
             vb = [b.copy() for b in self.value_biases]
-        other = ParamSet(self.spec, pw, pb, vw, vb, self.shared_hidden)
-        other.adam_step = self.adam_step
-        for dst, src in zip(other.adam_m, self.adam_m):
-            np.copyto(dst, src)
-        for dst, src in zip(other.adam_v, self.adam_v):
-            np.copyto(dst, src)
-        return other
+        return ParamSet(self.spec, pw, pb, vw, vb, self.shared_hidden)
 
     def copy_weights_from(self, other: "ParamSet") -> None:
         """In-place weight sync; Adam state is left untouched."""
@@ -160,7 +154,7 @@ class BatchStats:
 
 
 def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
-                head_scale: float = 0.01, input_gain: float = 1.0) -> ParamSet:
+                head_scale: float = 0.01, input_gain: float = 2.5) -> ParamSet:
     """He-style fan-in normal initialization, zero biases, seeded.
 
     Output heads are shrunk by ``head_scale`` so the initial policy is

@@ -45,10 +45,6 @@ class NetworkSpectrum:
                                    dtype=bool)
         self._active: dict[int, Lightpath] = {}
 
-    @property
-    def active_lightpaths(self) -> dict[int, Lightpath]:
-        return dict(self._active)
-
     def path_free_mask(self, path: CandidatePath) -> np.ndarray:
         """Slots simultaneously free on every link of ``path``."""
         ids = path.link_ids
@@ -69,13 +65,6 @@ class NetworkSpectrum:
         if j >= fits.size:
             return None
         return int(starts[fits[j]])
-
-    def path_stats(self, path: CandidatePath) -> tuple[float, int]:
-        """(average free-block size, total free slots); (0.0, 0) when full."""
-        _, sizes = self.block_spans(path)
-        if sizes.size == 0:
-            return 0.0, 0
-        return float(sizes.mean()), int(sizes.sum())
 
     def allocate(self, path: CandidatePath, start: int, n: int,
                  lightpath_id: int, expiry: float) -> None:

@@ -17,18 +17,6 @@ from pathlib import Path
 
 from .errors import TopologyError
 
-# Highest usable modulation order by physical reach, checked in descending
-# order of spectral efficiency; order 1 (BPSK) has unlimited reach.
-DEFAULT_REACH_TABLE: tuple[tuple[int, float], ...] = (
-    (4, 625.0),
-    (3, 1250.0),
-    (2, 2500.0),
-    (1, math.inf),
-)
-
-# Data rate one frequency slot carries at modulation order 1.
-DEFAULT_SLOT_CAPACITY_GBPS = 12.5
-
 BUILTIN_TOPOLOGIES = ("nsfnet", "cost239")
 
 
@@ -123,7 +111,7 @@ class Topology:
         return len(reached) == self.num_nodes
 
 
-def parse_topology(text: str, slot_count: int = 100,
+def parse_topology(text: str, slot_count: int,
                    source: str = "<string>") -> Topology:
     """Parse the line-oriented topology format.
 
@@ -172,7 +160,7 @@ def parse_topology(text: str, slot_count: int = 100,
         raise TopologyError(f"{source}: {exc}") from None
 
 
-def load_topology(source: str | Path, slot_count: int = 100) -> Topology:
+def load_topology(source: str | Path, slot_count: int) -> Topology:
     """Load a topology file, or one of the built-ins by name.
 
     ``source`` may be a filesystem path or one of
@@ -191,9 +179,12 @@ def load_topology(source: str | Path, slot_count: int = 100) -> Topology:
 
 
 def modulation_for(distance_km: float,
-                   reach_table: tuple[tuple[int, float], ...] = DEFAULT_REACH_TABLE,
-                   ) -> int:
-    """Highest modulation order whose reach covers ``distance_km``."""
+                   reach_table: tuple[tuple[int, float], ...]) -> int:
+    """Highest modulation order whose reach covers ``distance_km``.
+
+    ``reach_table`` lists (order, reach_km) pairs in descending order of
+    spectral efficiency, as ``RunConfig.reach_table()`` builds it.
+    """
     if distance_km <= 0:
         raise ValueError(f"distance must be positive, got {distance_km}")
     for order, reach in reach_table:
@@ -203,8 +194,9 @@ def modulation_for(distance_km: float,
 
 
 def required_slots(bandwidth_gbps: float, modulation: int,
-                   slot_capacity_gbps: float = DEFAULT_SLOT_CAPACITY_GBPS) -> int:
-    """Contiguous slots needed for a demand at the given modulation order."""
+                   slot_capacity_gbps: float) -> int:
+    """Contiguous slots needed for a demand at the given modulation order;
+    one slot carries ``slot_capacity_gbps`` at order 1."""
     if bandwidth_gbps <= 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth_gbps}")
     if modulation < 1:
@@ -243,7 +235,7 @@ def _lex_shortest(topo: Topology, src: int, dst: int,
 
 
 def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
-                     reach_table: tuple[tuple[int, float], ...] = DEFAULT_REACH_TABLE,
+                     reach_table: tuple[tuple[int, float], ...],
                      ) -> list[CandidatePath]:
     """Loopless K-shortest paths by physical length (Yen's algorithm).
 
@@ -306,7 +298,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
 
 
 def precompute_paths(topo: Topology, k: int,
-                     reach_table: tuple[tuple[int, float], ...] = DEFAULT_REACH_TABLE,
+                     reach_table: tuple[tuple[int, float], ...],
                      ) -> dict[tuple[int, int], tuple[CandidatePath, ...]]:
     """Candidate-path table for every ordered node pair, computed once."""
     table: dict[tuple[int, int], tuple[CandidatePath, ...]] = {}

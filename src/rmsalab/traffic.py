@@ -23,25 +23,13 @@ class Request:
 
 @dataclass(frozen=True)
 class TrafficConfig:
+    """Demand-stream settings, derived and validated by
+    ``RunConfig.traffic()``."""
+
     arrival_rate: float
     mean_duration: float
-    bandwidth_min: float = 25.0
-    bandwidth_max: float = 100.0
-
-    def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ValueError(f"arrival_rate must be > 0, got {self.arrival_rate}")
-        if self.mean_duration <= 0:
-            raise ValueError(
-                f"mean_duration must be > 0, got {self.mean_duration}")
-        if not 0 < self.bandwidth_min <= self.bandwidth_max:
-            raise ValueError(
-                f"bandwidth range [{self.bandwidth_min}, {self.bandwidth_max}] "
-                "is invalid")
-
-    @property
-    def offered_load_erlang(self) -> float:
-        return self.arrival_rate * self.mean_duration
+    bandwidth_min: float
+    bandwidth_max: float
 
 
 def next_request(rng: np.random.Generator, cfg: TrafficConfig, node_count: int,

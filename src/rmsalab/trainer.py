@@ -42,36 +42,27 @@ METRICS_COLUMNS = ("epoch", "worker", "requests_total", "requests_blocked",
                    "cum_reward_1k", "blocking_prob", "policy_loss",
                    "value_loss", "entropy")
 
-TRAINING_MODES = ("ep", "flx")
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Learning-loop knobs with the reference experiment's defaults."""
+    """Learning-loop settings, derived and validated by
+    ``RunConfig.training()``."""
 
     epochs: int
-    gamma: float = 0.95
-    entropy_weight: float = 0.01
-    batch_size: int = 50
-    learning_rate: float = 1e-5
-    worker_count: int = 16
-    mode: str = "flx"
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    entropy_sign: float = -1.0
-    grad_clip: float = 0.0
-    checkpoint_every: int = 0
-    metrics_window: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.mode not in TRAINING_MODES:
-            raise ValueError(f"mode must be one of {TRAINING_MODES}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.batch_size < 1 or self.worker_count < 1:
-            raise ValueError("batch_size and worker_count must be positive")
+    gamma: float
+    entropy_weight: float
+    batch_size: int
+    learning_rate: float
+    worker_count: int
+    mode: str
+    seed: int
+    adam_beta1: float
+    adam_beta2: float
+    adam_eps: float
+    entropy_sign: float
+    grad_clip: float
+    checkpoint_every: int
+    metrics_window: int
 
 
 @dataclass(slots=True)
@@ -278,9 +269,6 @@ class TrainingResult:
     blocking_probability: float
     trailing_blocking: float
     params: ParamSet
-    metrics_path: Path | None
-    checkpoint_path: Path | None
-    worker_stats: list = field(default_factory=list)
 
 
 def pooled_trailing_blocking(stats_list, window: int) -> float:
@@ -296,11 +284,10 @@ def pooled_trailing_blocking(stats_list, window: int) -> float:
 
 
 def run_training(cfg: TrainingConfig, topology: Topology, paths,
-                 traffic: TrafficConfig, *, k_paths: int, j_blocks: int = 1,
-                 hidden_layers: int = 5, hidden_width: int = 128,
-                 slot_capacity_gbps: float = 12.5, shared_hidden: bool = False,
-                 input_gain: float = 2.5, stats_window: int = 10_000,
-                 out_dir: str | Path | None = None,
+                 traffic: TrafficConfig, *, k_paths: int, j_blocks: int,
+                 hidden_layers: int, hidden_width: int,
+                 slot_capacity_gbps: float, shared_hidden: bool,
+                 stats_window: int, out_dir: str | Path | None = None,
                  progress: bool = False) -> TrainingResult:
     """Run lockstep rounds until ``cfg.epochs`` gradient applications,
     then return pooled statistics.
@@ -320,8 +307,7 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         bandwidth_max_gbps=traffic.bandwidth_max)
     layer_spec = LayerSpec(encoder.length, hidden_layers, hidden_width,
                            k_paths * j_blocks)
-    store = ParamStore(init_params(layer_spec, cfg.seed, shared_hidden,
-                                   input_gain=input_gain), cfg)
+    store = ParamStore(init_params(layer_spec, cfg.seed, shared_hidden), cfg)
     actors = [
         Actor(worker_id,
               RmsaEnv(topology, paths, traffic, k_paths=k_paths,
@@ -356,10 +342,8 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
             metrics.close()
 
     final = store.params
-    checkpoint_path = None
     if out_path is not None:
-        checkpoint_path = out_path / f"checkpoint-{store.epoch}.npz"
-        save_checkpoint(final, checkpoint_path)
+        save_checkpoint(final, out_path / f"checkpoint-{store.epoch}.npz")
         save_checkpoint(final, out_path / "checkpoint-final.npz")
 
     live_stats = [actor.env.stats for actor in actors]
@@ -372,7 +356,4 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         blocking_probability=blocked / total if total else float("nan"),
         trailing_blocking=pooled_trailing_blocking(live_stats, stats_window),
         params=final,
-        metrics_path=(out_path / "metrics.csv") if out_path else None,
-        checkpoint_path=checkpoint_path,
-        worker_stats=live_stats,
     )

@@ -1,6 +1,7 @@
 import pytest
 
-from rmsalab.topology import Topology, Link, load_topology, precompute_paths
+from rmsalab.config import RunConfig
+from rmsalab.topology import Topology, Link, precompute_paths
 
 TRIANGLE_TEXT = """\
 nodes 3
@@ -25,9 +26,9 @@ def line():
 
 @pytest.fixture(scope="session")
 def nsfnet():
-    return load_topology("nsfnet")
+    return RunConfig().load_topology()
 
 
 @pytest.fixture(scope="session")
 def nsfnet_paths(nsfnet):
-    return precompute_paths(nsfnet, 5)
+    return precompute_paths(nsfnet, 5, RunConfig().reach_table())

@@ -59,6 +59,17 @@ def test_validation_messages_name_fields():
         parse_config("mode = sp\n")
     with pytest.raises(ConfigError, match="reach"):
         parse_config("reach_16qam = 3000\nreach_8qam = 1250\n")
+    with pytest.raises(ConfigError, match="arrival_rate"):
+        parse_config("arrival_rate = 0\n")
+    with pytest.raises(ConfigError, match="mean_duration"):
+        parse_config("mean_duration = -1\n")
+    with pytest.raises(ConfigError, match="bandwidth_min"):
+        parse_config("bandwidth_min = 50\nbandwidth_max = 25\n")
+    # the derived pieces validate the config they come from
+    with pytest.raises(ConfigError, match="mean_duration"):
+        RunConfig(mean_duration=-1.0).traffic()
+    with pytest.raises(ConfigError, match="gamma"):
+        RunConfig(gamma=1.5).training()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -169,6 +180,11 @@ def test_eval_flow_and_missing_checkpoint(tmp_path, capsys):
     assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
                    str(tmp_path / "nope.npz"), "--out",
                    str(tmp_path / "e2")) == 1
+    assert "checkpoint" in capsys.readouterr().err
+    foreign = tmp_path / "foreign.npz"
+    np.savez(foreign, weights=np.zeros(3))
+    assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                   str(foreign), "--out", str(tmp_path / "e4")) == 1
     assert "checkpoint" in capsys.readouterr().err
 
 

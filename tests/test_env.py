@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+from rmsalab.config import RunConfig
 from rmsalab.env import BlockingStats, RmsaEnv
 from rmsalab.topology import precompute_paths, required_slots
-from rmsalab.traffic import Request, TrafficConfig
+from rmsalab.traffic import Request
+
+REACH = RunConfig().reach_table()
+SLOT_GBPS = RunConfig().slot_capacity_gbps
 
 
 def make_env(topo, paths, seed=0, k_paths=5, j_blocks=1):
-    return RmsaEnv(topo, paths, TrafficConfig(10.0, 15.0), k_paths=k_paths,
-                   j_blocks=j_blocks, seed=seed)
+    cfg = RunConfig(k_paths=k_paths, j_blocks=j_blocks, seed=seed)
+    return RmsaEnv(topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
+                   j_blocks=cfg.j_blocks, seed=cfg.seed,
+                   slot_capacity_gbps=cfg.slot_capacity_gbps,
+                   stats_window=cfg.stats_window)
 
 
 @pytest.fixture
@@ -27,7 +34,7 @@ def test_step_accepts_on_empty_grid(nsf_env):
     assert out.accepted and out.reward == 1.0
     assert out.path_index == 0 and out.start_slot == 0
     assert out.n_slots == required_slots(
-        100.0, nsf_env.candidate_paths(req)[0].modulation)
+        100.0, nsf_env.candidate_paths(req)[0].modulation, SLOT_GBPS)
     assert len(nsf_env.departures) == 1
 
 
@@ -62,7 +69,7 @@ def test_action_out_of_range_rejected(nsf_env):
 
 
 def test_action_on_missing_path_blocks(triangle):
-    paths = precompute_paths(triangle, 5)
+    paths = precompute_paths(triangle, 5, REACH)
     env = make_env(triangle, paths)
     req = fixed_request(src=0, dst=2)
     out = env.step(req, action=4)  # only 2 simple paths exist
@@ -100,7 +107,7 @@ def test_sp_ff_equivalent_to_step_action_zero(nsfnet, nsfnet_paths):
 
 
 def test_ksp_blocks_only_when_all_paths_full(triangle):
-    paths = precompute_paths(triangle, 2)
+    paths = precompute_paths(triangle, 2, REACH)
     env = make_env(triangle, paths, k_paths=2)
     req = fixed_request(src=0, dst=2)
     for i, path in enumerate(env.candidate_paths(req)):
@@ -120,7 +127,8 @@ def test_ksp_accepts_superset_of_sp_decisions(nsfnet, nsfnet_paths):
         ksp_req = ksp_env.arrive()
         # feasibility of SP on the KSP env state is what KSP must dominate
         path0 = ksp_env.candidate_paths(ksp_req)[0]
-        n = required_slots(ksp_req.bandwidth_gbps, path0.modulation)
+        n = required_slots(ksp_req.bandwidth_gbps, path0.modulation,
+                           SLOT_GBPS)
         sp_would_fit = ksp_env.spectrum.usable_block_start(path0, n) is not None
         out = ksp_env.ksp_ff(ksp_req)
         if sp_would_fit:
@@ -148,18 +156,18 @@ def test_cumulative_reward_matches_counts(nsf_env):
 
 
 def test_blocking_probability_examples():
-    stats = BlockingStats()
+    stats = BlockingStats(window_cap=10_000)
     for i in range(1000):
         stats.record(accepted=i >= 10)
     assert stats.blocking_probability() == pytest.approx(0.01)
-    clean = BlockingStats()
+    clean = BlockingStats(window_cap=10_000)
     clean.record(True)
     assert clean.blocking_probability() == 0.0
 
 
 def test_blocking_probability_empty_is_error():
     with pytest.raises(ValueError, match="empty"):
-        BlockingStats().blocking_probability()
+        BlockingStats(window_cap=10_000).blocking_probability()
 
 
 def test_windowed_blocking_and_reward():

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rmsalab.config import RunConfig
 from rmsalab.features import MISSING_BLOCK, StateEncoder, state_length
 from rmsalab.spectrum import NetworkSpectrum
 from rmsalab.topology import Link, Topology, precompute_paths, required_slots
 from rmsalab.traffic import Request
 
+REACH = RunConfig().reach_table()
+SLOT_GBPS = RunConfig().slot_capacity_gbps
+
 
 def make_encoder(topo, mode="flx", k_paths=5, j_blocks=1):
+    cfg = RunConfig()
     return StateEncoder(topo, k_paths=k_paths, j_blocks=j_blocks, mode=mode,
-                        mean_duration=15.0)
+                        mean_duration=cfg.mean_duration,
+                        slot_capacity_gbps=cfg.slot_capacity_gbps,
+                        bandwidth_max_gbps=cfg.bandwidth_max)
 
 
 def test_state_length_formula(nsfnet):
@@ -44,7 +51,7 @@ def test_encoding_layout_and_onehots(nsfnet, nsfnet_paths):
         assert start == 0.0
         assert size == 1.0
         path = nsfnet_paths[(3, 9)][k]
-        n = required_slots(100.0, path.modulation)
+        n = required_slots(100.0, path.modulation, SLOT_GBPS)
         assert n_scaled == pytest.approx(n / 8)
         assert avg == 1.0 and total == 1.0
     assert np.all(state >= -1.0) and np.all(state <= 1.0)
@@ -81,11 +88,10 @@ def test_flx_mode_ignores_position(nsfnet, nsfnet_paths):
 
 
 def test_saturated_path_encodes_missing_block_sentinel(line):
-    paths = precompute_paths(line, 1)
+    paths = precompute_paths(line, 1, REACH)
     spectrum = NetworkSpectrum(line)
     spectrum._occupancy[:] = True
-    encoder = StateEncoder(line, k_paths=1, j_blocks=1, mode="flx",
-                           mean_duration=15.0)
+    encoder = make_encoder(line, k_paths=1)
     req = Request(0, 0, 2, 50.0, 10.0, 0.0)
     state = encoder.encode(req, spectrum, paths[(0, 2)])
     base = 2 * 3 + 1
@@ -97,12 +103,11 @@ def test_saturated_path_encodes_missing_block_sentinel(line):
 
 def test_blocks_reported_are_usable_for_this_demand(line):
     # free blocks sized 1 and 3; a 2-slot demand must see the 3-slot block
-    paths = precompute_paths(line, 1)
+    paths = precompute_paths(line, 1, REACH)
     spectrum = NetworkSpectrum(line)
     spectrum._occupancy[:] = True
     spectrum._occupancy[:, [0, 5, 6, 7]] = False
-    encoder = StateEncoder(line, k_paths=1, j_blocks=1, mode="flx",
-                           mean_duration=15.0)
+    encoder = make_encoder(line, k_paths=1)
     req = Request(0, 0, 2, 100.0, 10.0, 0.0)  # n = 2 at modulation 4
     state = encoder.encode(req, spectrum, paths[(0, 2)])
     base = 2 * 3 + 1
@@ -113,11 +118,27 @@ def test_blocks_reported_are_usable_for_this_demand(line):
     assert state[base + 4] == pytest.approx(4 / 10)
 
 
+def test_path_average_and_total_free_slots(line):
+    paths = precompute_paths(line, 1, REACH)
+    spectrum = NetworkSpectrum(line)
+    encoder = make_encoder(line, k_paths=1)
+    req = Request(0, 0, 2, 50.0, 10.0, 0.0)
+    avg_total = slice(2 * 3 + 1 + 3, 2 * 3 + 1 + 5)
+    # free blocks of 2 and 1 slots: average 1.5, total 3, over 10 slots
+    spectrum._occupancy[:] = True
+    spectrum._occupancy[:, [2, 3, 8]] = False
+    state = encoder.encode(req, spectrum, paths[(0, 2)])
+    assert state[avg_total].tolist() == pytest.approx([0.15, 0.3])
+    # a full path has neither
+    spectrum._occupancy[:] = True
+    state = encoder.encode(req, spectrum, paths[(0, 2)])
+    assert state[avg_total].tolist() == [0.0, 0.0]
+
+
 def test_missing_candidate_paths_encode_as_sentinels(triangle):
-    paths = precompute_paths(triangle, 5)
+    paths = precompute_paths(triangle, 5, REACH)
     spectrum = NetworkSpectrum(triangle)
-    encoder = StateEncoder(triangle, k_paths=5, j_blocks=1, mode="flx",
-                           mean_duration=15.0)
+    encoder = make_encoder(triangle)
     req = Request(0, 0, 2, 50.0, 10.0, 0.0)
     state = encoder.encode(req, spectrum, paths[(0, 2)])
     assert len(paths[(0, 2)]) == 2

@@ -343,3 +343,16 @@ def test_copy_weights_from_syncs_without_touching_adam():
         assert np.array_equal(a, b)
         assert a is not b
     assert dst.adam_step == 7
+
+
+def test_clone_starts_fresh_adam_state():
+    params = scalar_params()
+    grads = zero_grads_like(params)
+    grads.policy_w[0][0, 0] = 1.0
+    adam_apply(params, grads, lr=1e-3)
+    assert params.adam_step == 1 and params.adam_m[0][0, 0] != 0.0
+    copy = params.clone()
+    assert np.array_equal(copy.policy_weights[0], params.policy_weights[0])
+    assert copy.adam_step == 0
+    assert all(not m.any() for m in copy.adam_m)
+    assert all(not v.any() for v in copy.adam_v)

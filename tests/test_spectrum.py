@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from rmsalab.config import RunConfig
 from rmsalab.errors import ContractViolation
 from rmsalab.spectrum import NetworkSpectrum
 from rmsalab.topology import k_shortest_paths
+
+REACH = RunConfig().reach_table()
 
 
 @pytest.fixture
@@ -12,11 +15,11 @@ def line_spectrum(line):
 
 
 def _two_link_path(line):
-    return k_shortest_paths(line, 0, 2, 1)[0]
+    return k_shortest_paths(line, 0, 2, 1, REACH)[0]
 
 
 def _one_link_path(line, src, dst):
-    return k_shortest_paths(line, src, dst, 1)[0]
+    return k_shortest_paths(line, src, dst, 1, REACH)[0]
 
 
 def spans(spectrum, path):
@@ -87,7 +90,8 @@ def test_release_restores_occupancy(line, line_spectrum):
     assert line_spectrum.dump() != before
     line_spectrum.release(7)
     assert line_spectrum.dump() == before
-    assert line_spectrum.active_lightpaths == {}
+    with pytest.raises(ContractViolation, match="not active"):
+        line_spectrum.release(7)
 
 
 def test_release_unknown_rejected(line_spectrum):
@@ -105,18 +109,6 @@ def test_release_order_does_not_matter(line, line_spectrum):
         for lightpath_id in order:
             line_spectrum.release(lightpath_id)
         assert line_spectrum.dump() == empty
-
-
-def test_path_stats_examples(line, line_spectrum, nsfnet):
-    path = _two_link_path(line)
-    line_spectrum._occupancy[:] = True
-    line_spectrum._occupancy[:, [2, 3, 8]] = False
-    assert line_spectrum.path_stats(path) == (1.5, 3)
-    line_spectrum._occupancy[:] = True
-    assert line_spectrum.path_stats(path) == (0.0, 0)
-    fresh = NetworkSpectrum(nsfnet)
-    path14 = k_shortest_paths(nsfnet, 0, 1, 1)[0]
-    assert fresh.path_stats(path14) == (100.0, 100)
 
 
 def test_usable_block_spans_filters_small_blocks(line, line_spectrum):

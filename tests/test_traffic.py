@@ -1,27 +1,13 @@
 import numpy as np
-import pytest
 
-from rmsalab.traffic import (DepartureQueue, RequestStream, TrafficConfig,
-                             next_request)
+from rmsalab.config import RunConfig
+from rmsalab.traffic import DepartureQueue, RequestStream, next_request
 
 
 def make_stream(seed, arrival_rate=10.0, mean_duration=15.0, nodes=14):
-    cfg = TrafficConfig(arrival_rate, mean_duration)
+    cfg = RunConfig(arrival_rate=arrival_rate,
+                    mean_duration=mean_duration).traffic()
     return RequestStream(cfg, nodes, np.random.default_rng(seed))
-
-
-def test_offered_load_examples():
-    assert TrafficConfig(10.0, 15.0).offered_load_erlang == 150.0
-    assert TrafficConfig(20.0, 30.0).offered_load_erlang == 600.0
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrafficConfig(0.0, 15.0)
-    with pytest.raises(ValueError):
-        TrafficConfig(10.0, -1.0)
-    with pytest.raises(ValueError):
-        TrafficConfig(10.0, 15.0, bandwidth_min=50.0, bandwidth_max=25.0)
 
 
 def test_fixed_seed_reproduces_sequence():
@@ -71,7 +57,7 @@ def test_endpoint_histogram_close_to_uniform():
 
 
 def test_next_request_uses_now_offset():
-    cfg = TrafficConfig(10.0, 15.0)
+    cfg = RunConfig().traffic()
     rng = np.random.default_rng(0)
     req = next_request(rng, cfg, 5, now=100.0, request_id=3)
     assert req.arrival_time > 100.0

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rmsalab.trainer as trainer_mod
+from rmsalab.config import RunConfig
 from rmsalab.features import StateEncoder
 from rmsalab.neuralnet import LayerSpec, forward_policy, init_params, load_checkpoint
-from rmsalab.traffic import TrafficConfig
-from rmsalab.trainer import (TrainingConfig, advantages, discounted_returns,
-                             roulette_select, run_training,
-                             sliding_window_returns)
+from rmsalab.trainer import (advantages, discounted_returns, roulette_select,
+                             run_training, sliding_window_returns)
 
 
 def test_discounted_returns_hand_example():
@@ -123,12 +122,17 @@ def test_roulette_empirical_distribution():
 
 def small_run(nsfnet, nsfnet_paths, out_dir, mode, epochs, batch_size=5,
               workers=1, seed=0, checkpoint_every=0):
-    cfg = TrainingConfig(epochs=epochs, batch_size=batch_size,
-                         worker_count=workers, mode=mode, seed=seed,
-                         checkpoint_every=checkpoint_every)
-    return run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
-                        k_paths=5, hidden_layers=2, hidden_width=16,
-                        out_dir=out_dir)
+    cfg = RunConfig(mode=mode, epochs=epochs, batch_size=batch_size,
+                    workers=workers, seed=seed,
+                    checkpoint_every=checkpoint_every, hidden_layers=2,
+                    hidden_width=16)
+    return run_training(cfg.training(), nsfnet, nsfnet_paths, cfg.traffic(),
+                        k_paths=cfg.k_paths, j_blocks=cfg.j_blocks,
+                        hidden_layers=cfg.hidden_layers,
+                        hidden_width=cfg.hidden_width,
+                        slot_capacity_gbps=cfg.slot_capacity_gbps,
+                        shared_hidden=cfg.share_hidden,
+                        stats_window=cfg.stats_window, out_dir=out_dir)
 
 
 def read_metrics(path):
@@ -282,10 +286,7 @@ def test_run_training_surfaces_worker_failure(nsfnet, nsfnet_paths, tmp_path,
         raise RuntimeError("boom in worker")
 
     monkeypatch.setitem(trainer_mod._WORKER_LOOPS, "flx", explode)
-    cfg = TrainingConfig(epochs=5, batch_size=5, worker_count=2, mode="flx")
     with pytest.raises(RuntimeError, match="worker [01] failed"):
-        run_training(cfg, nsfnet, nsfnet_paths, TrafficConfig(10.0, 15.0),
-                     k_paths=5, hidden_layers=2, hidden_width=16,
-                     out_dir=tmp_path)
+        small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=5, workers=2)
     # metrics flushed and readable even after the abort
     assert (tmp_path / "metrics.csv").read_text().startswith("epoch,")
