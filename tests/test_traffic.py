@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from rmsalab.config import RunConfig
+from rmsalab.errors import ConfigError
 from rmsalab.traffic import DepartureQueue, RequestStream, next_request
 
 
@@ -8,6 +10,16 @@ def make_stream(seed, arrival_rate=10.0, mean_duration=15.0, nodes=14):
     cfg = RunConfig(arrival_rate=arrival_rate,
                     mean_duration=mean_duration).traffic()
     return RequestStream(cfg, nodes, np.random.default_rng(seed))
+
+
+def test_config_validation():
+    # traffic settings are validated where they are derived
+    with pytest.raises(ConfigError, match="arrival_rate"):
+        RunConfig(arrival_rate=0.0).traffic()
+    with pytest.raises(ConfigError, match="mean_duration"):
+        RunConfig(mean_duration=-1.0).traffic()
+    with pytest.raises(ConfigError, match="bandwidth_min"):
+        RunConfig(bandwidth_min=50.0, bandwidth_max=25.0).traffic()
 
 
 def test_fixed_seed_reproduces_sequence():
