@@ -11,7 +11,9 @@ usable ones (the first being the first-fit placement) and a sentinel
 marks their absence. In episode mode one trailing element carries the
 request's position within the episode. Every field is scaled by a fixed
 constant (grid size, maximum slot need, twice the mean holding time) so
-encoding is stateless and reproducible.
+encoding is stateless and reproducible. The spectrum part is read from
+``NetworkSpectrum.path_blocks``, the memoised view ``RmsaEnv.step`` also
+reads, so the grid must change only through ``allocate``/``release``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ class StateEncoder:
         self.max_slots = required_slots(bandwidth_max_gbps, 1, slot_capacity_gbps)
         self.length = state_length(self.node_count, k_paths, j_blocks,
                                    self.with_position)
+        base = 2 * self.node_count + 1
+        self._groups = slice(base, base + k_paths * (2 * j_blocks + 3))
+        # block slots start as MISSING_BLOCK; n, average and total stay
+        # zero for a path the graph does not have
+        self._template = np.zeros(self.length, dtype=np.float64)
+        groups = self._template[self._groups].reshape(k_paths, -1)
+        groups[:, :2 * j_blocks] = np.tile(MISSING_BLOCK, j_blocks)
 
     def encode(self, req: Request, spectrum: NetworkSpectrum,
                paths: tuple[CandidatePath, ...],
@@ -74,38 +83,31 @@ class StateEncoder:
 
         n_nodes = self.node_count
         f0 = float(self.slot_count)
-        out = np.zeros(self.length, dtype=np.float64)
+        out = self._template.copy()
         out[req.src] = 1.0
         out[n_nodes + req.dst] = 1.0
         out[2 * n_nodes] = min(req.duration / self.tau_scale, 1.0)
 
-        base = 2 * n_nodes + 1
-        group = 2 * self.j_blocks + 3
-        for k in range(self.k_paths):
-            offset = base + k * group
-            if k < len(paths):
-                path = paths[k]
-                n_slots = required_slots(req.bandwidth_gbps, path.modulation,
-                                         self.slot_capacity_gbps)
-                starts, sizes = spectrum.block_spans(path)
-                usable = np.flatnonzero(sizes >= n_slots)
-                for j in range(self.j_blocks):
-                    if j < usable.size:
-                        out[offset + 2 * j] = starts[usable[j]] / f0
-                        out[offset + 2 * j + 1] = sizes[usable[j]] / f0
-                    else:
-                        out[offset + 2 * j] = MISSING_BLOCK[0]
-                        out[offset + 2 * j + 1] = MISSING_BLOCK[1]
-                out[offset + 2 * self.j_blocks] = n_slots / self.max_slots
-                total = int(sizes.sum())
-                avg = total / sizes.size if sizes.size else 0.0
-                out[offset + 2 * self.j_blocks + 1] = avg / f0
-                out[offset + 2 * self.j_blocks + 2] = total / f0
-            else:
-                for j in range(self.j_blocks):
-                    out[offset + 2 * j] = MISSING_BLOCK[0]
-                    out[offset + 2 * j + 1] = MISSING_BLOCK[1]
-                # n, average and total stay zero for a nonexistent path
+        # one row per candidate path: J (start, size) pairs, n, avg, total
+        n_paths = len(paths)
+        groups = out[self._groups].reshape(self.k_paths, -1)
+        n_slots = np.array([required_slots(req.bandwidth_gbps, p.modulation,
+                                           self.slot_capacity_gbps)
+                            for p in paths])
+        rows, starts, sizes = spectrum.path_blocks(paths)
+        # rank of each usable block within its path; keep the first J
+        usable = np.flatnonzero(sizes >= n_slots[rows])
+        urows = rows[usable]
+        rank = np.arange(usable.size) - np.searchsorted(urows, urows)
+        keep = rank < self.j_blocks
+        pick, urows, col = usable[keep], urows[keep], 2 * rank[keep]
+        groups[urows, col] = starts[pick] / f0
+        groups[urows, col + 1] = sizes[pick] / f0
+        total = np.bincount(rows, weights=sizes, minlength=n_paths)
+        count = np.bincount(rows, minlength=n_paths)
+        groups[:n_paths, -3] = n_slots / self.max_slots
+        groups[:n_paths, -2] = total / np.maximum(count, 1) / f0
+        groups[:n_paths, -1] = total / f0
 
         if self.with_position:
             out[-1] = (pos_n - pos_i + 1) / pos_n

@@ -3,6 +3,11 @@
 A lightpath occupies the same contiguous slot range on every link of its
 route (no spectrum conversion), so feasibility on a path reduces to block
 search over the slot-wise AND of the links' free masks.
+
+``path_blocks`` is the one view of all candidate paths' blocks that the
+encoder and ``step`` read, memoised until the grid changes. The grid
+changes only through ``allocate`` and ``release``, which bump
+``_version``; any other writer must bump it too, or the view goes stale.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ class NetworkSpectrum:
         self._occupancy = np.zeros((topology.link_count, topology.slot_count),
                                    dtype=bool)
         self._active: dict[int, Lightpath] = {}
+        self._version = 0
+        # id(paths) -> (paths, K x H link indices); the kept tuple pins the id
+        self._path_index: dict[int, tuple[tuple, np.ndarray]] = {}
+        self._view: tuple = (None, -1, None)
 
     def path_free_mask(self, path: CandidatePath) -> np.ndarray:
         """Slots simultaneously free on every link of ``path``."""
@@ -55,6 +64,28 @@ class NetworkSpectrum:
     def block_spans(self, path: CandidatePath) -> tuple[np.ndarray, np.ndarray]:
         """(starts, sizes) arrays of the maximal free blocks along ``path``."""
         return _mask_blocks(self.path_free_mask(path))
+
+    def path_blocks(self, paths: tuple[CandidatePath, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, starts, sizes) of the maximal free blocks of every path in
+        the path-table tuple ``paths``, row-major: block i lies on path
+        ``rows[i]``. Kept until the grid changes; callers must not write."""
+        if self._view[0] is paths and self._view[1] == self._version:
+            return self._view[2]
+        entry = self._path_index.get(id(paths))
+        if entry is None or entry[0] is not paths:
+            # a short path repeats its last link, which leaves any() as is
+            hops = max(len(p.link_ids) for p in paths)
+            index = np.array([p.link_ids + p.link_ids[-1:]
+                              * (hops - len(p.link_ids)) for p in paths])
+            entry = self._path_index[id(paths)] = (paths, index)
+        edged = np.zeros((len(paths), self.slot_count + 2), dtype=bool)
+        edged[:, 1:-1] = ~self._occupancy[entry[1]].any(axis=1)
+        rows, edges = np.nonzero(edged[:, 1:] != edged[:, :-1])
+        starts = edges[0::2]
+        blocks = (rows[0::2], starts, edges[1::2] - starts)
+        self._view = (paths, self._version, blocks)
+        return blocks
 
     def usable_block_start(self, path: CandidatePath, n: int,
                            j: int = 0) -> int | None:
@@ -84,6 +115,7 @@ class NetworkSpectrum:
                 f"allocation [{start}, {start + n}) overlaps occupied slots "
                 f"on path links {path.link_ids}")
         self._occupancy[ids, start:start + n] = True
+        self._version += 1
         self._active[lightpath_id] = Lightpath(
             lightpath_id, path.link_ids, start, n, expiry)
 
@@ -94,6 +126,7 @@ class NetworkSpectrum:
             raise ContractViolation(f"lightpath {lightpath_id} is not active")
         ids = list(record.link_ids)
         self._occupancy[ids, record.start:record.start + record.n_slots] = False
+        self._version += 1
 
     def occupied_slot_count(self) -> int:
         return int(self._occupancy.sum())

@@ -32,3 +32,19 @@ def nsfnet():
 @pytest.fixture(scope="session")
 def nsfnet_paths(nsfnet):
     return precompute_paths(nsfnet, 5, RunConfig().reach_table())
+
+
+def _set_grid(spectrum, occupied, free=()):
+    """Seed ``spectrum``'s grid: every link gets ``occupied`` (a bool, one
+    row of slots, or a links x slots mask), then the ``free`` slots are
+    freed on every link. Bumps the grid version, as ``allocate`` and
+    ``release`` do, so the memoised block view is rebuilt."""
+    spectrum._occupancy[:] = occupied
+    spectrum._occupancy[:, list(free)] = False
+    spectrum._version += 1
+
+
+@pytest.fixture(scope="session")
+def set_grid():
+    """The one way tests write a spectrum grid directly."""
+    return _set_grid

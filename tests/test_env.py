@@ -3,6 +3,7 @@ import pytest
 
 from rmsalab.config import RunConfig
 from rmsalab.env import BlockingStats, RmsaEnv
+from rmsalab.features import StateEncoder
 from rmsalab.topology import precompute_paths, required_slots
 from rmsalab.traffic import Request
 
@@ -138,6 +139,61 @@ def test_ksp_accepts_superset_of_sp_decisions(nsfnet, nsfnet_paths):
     assert sp_feasible_total > 0
     assert (ksp_env.stats.blocking_probability()
             <= sp_env.stats.blocking_probability())
+
+
+@pytest.mark.parametrize("j_blocks", [1, 3])
+def test_step_matches_single_path_first_fit(nsfnet, nsfnet_paths, set_grid,
+                                            j_blocks):
+    # every action (k, j) places at the j-th usable block of path k alone,
+    # or blocks when that path has none
+    env = make_env(nsfnet, nsfnet_paths, j_blocks=j_blocks)
+    rng = np.random.default_rng(13)
+    pairs = list(nsfnet_paths)
+    placed = 0
+    for trial in range(40):
+        grid = (rng.random((nsfnet.link_count, nsfnet.slot_count))
+                < rng.random())
+        src, dst = pairs[int(rng.integers(len(pairs)))]
+        req = fixed_request(src, dst, bandwidth=float(rng.uniform(25, 100)),
+                            req_id=trial)
+        paths = env.candidate_paths(req)
+        for action in range(env.action_count):
+            set_grid(env.spectrum, grid)
+            k, j = divmod(action, j_blocks)
+            n = required_slots(req.bandwidth_gbps, paths[k].modulation,
+                               SLOT_GBPS)
+            expected = env.spectrum.usable_block_start(paths[k], n, j)
+            out = env.step(req, action)
+            assert out.path_index == k
+            assert out.accepted == (expected is not None)
+            assert out.start_slot == expected
+            placed += out.accepted
+    assert 0 < placed < 40 * env.action_count
+
+
+def test_allocate_and_release_refresh_the_shared_view(nsf_env):
+    # encode and step read one memoised block view; a grid change through
+    # allocate or release must show in the next encode and step
+    cfg = RunConfig()
+    encoder = StateEncoder(nsf_env.topology, k_paths=5, j_blocks=1,
+                           mode="flx", mean_duration=cfg.mean_duration,
+                           slot_capacity_gbps=cfg.slot_capacity_gbps,
+                           bandwidth_max_gbps=cfg.bandwidth_max)
+    spectrum = nsf_env.spectrum
+    req = fixed_request()
+    paths = nsf_env.candidate_paths(req)
+
+    def first_block_start():
+        return encoder.encode(req, spectrum, paths)[2 * 14 + 1]
+
+    assert first_block_start() == 0.0
+    spectrum.allocate(paths[0], 0, 10, lightpath_id=900, expiry=99.0)
+    assert first_block_start() == pytest.approx(0.1)
+    out = nsf_env.step(req, action=0)
+    assert out.start_slot == 10
+    spectrum.release(900)
+    assert first_block_start() == 0.0
+    assert nsf_env.step(req, action=0).start_slot == 0
 
 
 def test_cumulative_reward_matches_counts(nsf_env):

@@ -87,10 +87,10 @@ def test_flx_mode_ignores_position(nsfnet, nsfnet_paths):
     assert state.shape == (54,)
 
 
-def test_saturated_path_encodes_missing_block_sentinel(line):
+def test_saturated_path_encodes_missing_block_sentinel(line, set_grid):
     paths = precompute_paths(line, 1, REACH)
     spectrum = NetworkSpectrum(line)
-    spectrum._occupancy[:] = True
+    set_grid(spectrum, True)
     encoder = make_encoder(line, k_paths=1)
     req = Request(0, 0, 2, 50.0, 10.0, 0.0)
     state = encoder.encode(req, spectrum, paths[(0, 2)])
@@ -101,12 +101,11 @@ def test_saturated_path_encodes_missing_block_sentinel(line):
     assert state[base + 3] == 0.0 and state[base + 4] == 0.0
 
 
-def test_blocks_reported_are_usable_for_this_demand(line):
+def test_blocks_reported_are_usable_for_this_demand(line, set_grid):
     # free blocks sized 1 and 3; a 2-slot demand must see the 3-slot block
     paths = precompute_paths(line, 1, REACH)
     spectrum = NetworkSpectrum(line)
-    spectrum._occupancy[:] = True
-    spectrum._occupancy[:, [0, 5, 6, 7]] = False
+    set_grid(spectrum, True, free=[0, 5, 6, 7])
     encoder = make_encoder(line, k_paths=1)
     req = Request(0, 0, 2, 100.0, 10.0, 0.0)  # n = 2 at modulation 4
     state = encoder.encode(req, spectrum, paths[(0, 2)])
@@ -118,19 +117,18 @@ def test_blocks_reported_are_usable_for_this_demand(line):
     assert state[base + 4] == pytest.approx(4 / 10)
 
 
-def test_path_average_and_total_free_slots(line):
+def test_path_average_and_total_free_slots(line, set_grid):
     paths = precompute_paths(line, 1, REACH)
     spectrum = NetworkSpectrum(line)
     encoder = make_encoder(line, k_paths=1)
     req = Request(0, 0, 2, 50.0, 10.0, 0.0)
     avg_total = slice(2 * 3 + 1 + 3, 2 * 3 + 1 + 5)
     # free blocks of 2 and 1 slots: average 1.5, total 3, over 10 slots
-    spectrum._occupancy[:] = True
-    spectrum._occupancy[:, [2, 3, 8]] = False
+    set_grid(spectrum, True, free=[2, 3, 8])
     state = encoder.encode(req, spectrum, paths[(0, 2)])
     assert state[avg_total].tolist() == pytest.approx([0.15, 0.3])
     # a full path has neither
-    spectrum._occupancy[:] = True
+    set_grid(spectrum, True)
     state = encoder.encode(req, spectrum, paths[(0, 2)])
     assert state[avg_total].tolist() == [0.0, 0.0]
 
@@ -149,10 +147,11 @@ def test_missing_candidate_paths_encode_as_sentinels(triangle):
         assert list(group[1:]) == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_encoding_is_pure(nsfnet, nsfnet_paths):
+def test_encoding_is_pure(nsfnet, nsfnet_paths, set_grid):
     spectrum = NetworkSpectrum(nsfnet)
     rng = np.random.default_rng(3)
-    spectrum._occupancy[:] = rng.random(spectrum._occupancy.shape) < 0.3
+    set_grid(spectrum, rng.random((nsfnet.link_count, nsfnet.slot_count))
+             < 0.3)
     encoder = make_encoder(nsfnet)
     req = Request(5, 2, 11, 77.0, 12.0, 9.0)
     a = encoder.encode(req, spectrum, nsfnet_paths[(2, 11)])
@@ -162,10 +161,12 @@ def test_encoding_is_pure(nsfnet, nsfnet_paths):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), ep=st.booleans())
-def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, seed, ep):
+def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, set_grid, seed,
+                                     ep):
     rng = np.random.default_rng(seed)
     spectrum = NetworkSpectrum(nsfnet)
-    spectrum._occupancy[:] = rng.random(spectrum._occupancy.shape) < rng.random()
+    set_grid(spectrum, rng.random((nsfnet.link_count, nsfnet.slot_count))
+             < rng.random())
     encoder = make_encoder(nsfnet, "ep" if ep else "flx")
     src, dst = rng.choice(14, size=2, replace=False)
     req = Request(0, int(src), int(dst),
@@ -177,3 +178,75 @@ def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, seed, ep):
     assert state.shape == (encoder.length,)
     assert np.all(state >= -1.0) and np.all(state <= 1.0)
     assert state[0:14].sum() == 1.0 and state[14:28].sum() == 1.0
+
+
+def reference_encode(encoder, req, spectrum, paths, episode_pos=None):
+    """The per-path encoder loop, kept as the reference the vectorised
+    ``StateEncoder.encode`` must match bit for bit."""
+    n_nodes = encoder.node_count
+    f0 = float(encoder.slot_count)
+    out = np.zeros(encoder.length, dtype=np.float64)
+    out[req.src] = 1.0
+    out[n_nodes + req.dst] = 1.0
+    out[2 * n_nodes] = min(req.duration / encoder.tau_scale, 1.0)
+    base = 2 * n_nodes + 1
+    group = 2 * encoder.j_blocks + 3
+    for k in range(encoder.k_paths):
+        offset = base + k * group
+        if k < len(paths):
+            path = paths[k]
+            n_slots = required_slots(req.bandwidth_gbps, path.modulation,
+                                     encoder.slot_capacity_gbps)
+            starts, sizes = spectrum.block_spans(path)
+            usable = np.flatnonzero(sizes >= n_slots)
+            for j in range(encoder.j_blocks):
+                if j < usable.size:
+                    out[offset + 2 * j] = starts[usable[j]] / f0
+                    out[offset + 2 * j + 1] = sizes[usable[j]] / f0
+                else:
+                    out[offset + 2 * j] = MISSING_BLOCK[0]
+                    out[offset + 2 * j + 1] = MISSING_BLOCK[1]
+            out[offset + 2 * encoder.j_blocks] = n_slots / encoder.max_slots
+            total = int(sizes.sum())
+            avg = total / sizes.size if sizes.size else 0.0
+            out[offset + 2 * encoder.j_blocks + 1] = avg / f0
+            out[offset + 2 * encoder.j_blocks + 2] = total / f0
+        else:
+            for j in range(encoder.j_blocks):
+                out[offset + 2 * j] = MISSING_BLOCK[0]
+                out[offset + 2 * j + 1] = MISSING_BLOCK[1]
+    if episode_pos is not None:
+        pos_i, pos_n = episode_pos
+        out[-1] = (pos_n - pos_i + 1) / pos_n
+    return out
+
+
+@pytest.mark.parametrize("j_blocks", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["ep", "flx"])
+@pytest.mark.parametrize("topo_name", ["nsfnet", "triangle"])
+def test_vectorised_encoding_matches_per_path_reference(
+        request, set_grid, topo_name, mode, j_blocks):
+    topo = request.getfixturevalue(topo_name)
+    table = precompute_paths(topo, 5, REACH)
+    encoder = make_encoder(topo, mode, k_paths=5, j_blocks=j_blocks)
+    spectrum = NetworkSpectrum(topo)
+    rng = np.random.default_rng(j_blocks)
+    pairs = list(table)
+    shape = (topo.link_count, topo.slot_count)
+    # empty and full grids first, then random ones of random density
+    for trial in range(60):
+        fill = 0.0 if trial == 0 else 1.0 if trial == 1 else rng.random()
+        set_grid(spectrum, rng.random(shape) < fill)
+        for _ in range(3):
+            src, dst = pairs[int(rng.integers(len(pairs)))]
+            req = Request(trial, src, dst, float(rng.uniform(25, 100)),
+                          float(rng.exponential(15.0)), 0.0)
+            pos = (int(rng.integers(1, 51)), 50) if mode == "ep" else None
+            paths = table[(src, dst)]
+            expected = reference_encode(encoder, req, spectrum, paths, pos)
+            assert np.array_equal(
+                encoder.encode(req, spectrum, paths, episode_pos=pos),
+                expected)
+    # the triangle offers fewer than K paths, NSFNET all K
+    assert {len(p) for p in table.values()} == (
+        {2} if topo_name == "triangle" else {5})

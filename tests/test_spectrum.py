@@ -28,12 +28,12 @@ def spans(spectrum, path):
     return list(zip(starts.tolist(), sizes.tolist()))
 
 
-def test_available_blocks_intersection(line, line_spectrum):
+def test_available_blocks_intersection(line, line_spectrum, set_grid):
     # link 0 free slots {1,2,3,7,8}; link 1 free slots {2,3,4,8,9}
-    line_spectrum._occupancy[0] = True
-    line_spectrum._occupancy[0, [1, 2, 3, 7, 8]] = False
-    line_spectrum._occupancy[1] = True
-    line_spectrum._occupancy[1, [2, 3, 4, 8, 9]] = False
+    grid = np.ones((2, 10), dtype=bool)
+    grid[0, [1, 2, 3, 7, 8]] = False
+    grid[1, [2, 3, 4, 8, 9]] = False
+    set_grid(line_spectrum, grid)
     assert spans(line_spectrum, _two_link_path(line)) == [(2, 2), (8, 1)]
 
 
@@ -42,17 +42,16 @@ def test_all_free_grid_single_block(nsfnet, nsfnet_paths):
     assert spans(spectrum, nsfnet_paths[(0, 5)][0]) == [(0, 100)]
 
 
-def test_fully_occupied_no_blocks(line, line_spectrum):
-    line_spectrum._occupancy[:] = True
+def test_fully_occupied_no_blocks(line, line_spectrum, set_grid):
+    set_grid(line_spectrum, True)
     assert spans(line_spectrum, _two_link_path(line)) == []
 
 
 @pytest.mark.parametrize("n,expected", [(3, 8), (2, 3), (6, None), (5, 8)])
-def test_first_fit(n, expected, nsfnet, nsfnet_paths):
+def test_first_fit(n, expected, nsfnet, nsfnet_paths, set_grid):
     spectrum = NetworkSpectrum(nsfnet)
     path = nsfnet_paths[(0, 5)][0]
-    spectrum._occupancy[:] = True
-    spectrum._occupancy[:, [3, 4, 8, 9, 10, 11, 12]] = False
+    set_grid(spectrum, True, free=[3, 4, 8, 9, 10, 11, 12])
     assert spans(spectrum, path) == [(3, 2), (8, 5)]
     assert spectrum.usable_block_start(path, n) == expected
 
@@ -111,9 +110,9 @@ def test_release_order_does_not_matter(line, line_spectrum):
         assert line_spectrum.dump() == empty
 
 
-def test_usable_block_spans_filters_small_blocks(line, line_spectrum):
-    line_spectrum._occupancy[:] = True
-    line_spectrum._occupancy[:, [0, 3, 4, 5, 9]] = False
+def test_usable_block_spans_filters_small_blocks(line, line_spectrum,
+                                                 set_grid):
+    set_grid(line_spectrum, True, free=[0, 3, 4, 5, 9])
     path = _two_link_path(line)
     assert spans(line_spectrum, path) == [(0, 1), (3, 3), (9, 1)]
     # the only block that holds 2 slots is the one of size 3 at slot 3
@@ -154,10 +153,12 @@ def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
 
 
 def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
-                                                          nsfnet_paths):
+                                                          nsfnet_paths,
+                                                          set_grid):
     rng = np.random.default_rng(5)
     spectrum = NetworkSpectrum(nsfnet)
-    spectrum._occupancy[:] = rng.random(spectrum._occupancy.shape) < 0.4
+    set_grid(spectrum, rng.random((nsfnet.link_count, nsfnet.slot_count))
+             < 0.4)
     for pair in [(0, 5), (3, 9), (12, 2)]:
         for path in nsfnet_paths[pair]:
             mask = spectrum.path_free_mask(path)
@@ -184,6 +185,39 @@ def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
                 for j in range(3):
                     assert spectrum.usable_block_start(path, n, j) == (
                         feasible[j] if j < len(feasible) else None)
+
+
+def test_path_blocks_match_block_spans_of_each_path(nsfnet, nsfnet_paths,
+                                                    set_grid):
+    rng = np.random.default_rng(8)
+    spectrum = NetworkSpectrum(nsfnet)
+    for fill in (0.0, 1.0, 0.2, 0.5, 0.8):
+        set_grid(spectrum, rng.random((nsfnet.link_count, nsfnet.slot_count))
+                 < fill)
+        for pair in [(0, 5), (3, 9), (12, 2), (6, 7)]:
+            paths = nsfnet_paths[pair]
+            assert len({len(p.link_ids) for p in paths}) > 1  # padded rows
+            rows, starts, sizes = spectrum.path_blocks(paths)
+            for k, path in enumerate(paths):
+                want_starts, want_sizes = spectrum.block_spans(path)
+                assert np.array_equal(starts[rows == k], want_starts)
+                assert np.array_equal(sizes[rows == k], want_sizes)
+            assert np.all(np.diff(rows) >= 0)  # row-major
+
+
+def test_path_blocks_memo_lasts_until_the_grid_changes(nsfnet,
+                                                      nsfnet_paths):
+    spectrum = NetworkSpectrum(nsfnet)
+    paths = nsfnet_paths[(0, 5)]
+    view = spectrum.path_blocks(paths)
+    assert spectrum.path_blocks(paths) is view
+    assert spectrum.path_blocks(nsfnet_paths[(5, 0)]) is not view
+    spectrum.allocate(paths[0], 0, 4, lightpath_id=1, expiry=1.0)
+    after_allocate = spectrum.path_blocks(paths)
+    assert after_allocate is not view
+    assert after_allocate[1][0] == 4  # path 0 now starts at slot 4
+    spectrum.release(1)
+    assert spectrum.path_blocks(paths)[1][0] == 0
 
 
 def test_dump_is_zero_one_rows(line, line_spectrum):
