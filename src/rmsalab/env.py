@@ -151,16 +151,13 @@ class RmsaEnv:
         path = paths[path_index]
         n = required_slots(req.bandwidth_gbps, path.modulation,
                            self.slot_capacity_gbps)
-        # a cache hit when the encoder has just read this request's view
-        rows, starts, sizes = self.spectrum.path_blocks(paths)
-        fits = np.flatnonzero((rows == path_index) & (sizes >= n))
-        if block_index >= fits.size:
+        start = self.spectrum.usable_block_start(path, n, block_index)
+        if start is None:
             return self._blocked(path_index)
-        return self._provision(req, path, path_index,
-                               int(starts[fits[block_index]]), n)
+        return self._provision(req, path, path_index, start, n)
 
-    # The heuristics stay path by path on usable_block_start: the first path
-    # usually fits, so an all-K path_blocks view would cost more than it saves.
+    # The heuristics place through usable_block_start, as step does, so an
+    # agent's j = 0 action and first fit cannot disagree.
     def sp_ff(self, req: Request) -> ProvisionOutcome:
         """Shortest path with first-fit; never tries an alternate path."""
         path = self.candidate_paths(req)[0]

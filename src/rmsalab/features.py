@@ -11,9 +11,9 @@ usable ones (the first being the first-fit placement) and a sentinel
 marks their absence. In episode mode one trailing element carries the
 request's position within the episode. Every field is scaled by a fixed
 constant (grid size, maximum slot need, twice the mean holding time) so
-encoding is stateless and reproducible. The spectrum part is read from
-``NetworkSpectrum.path_blocks``, the memoised view ``RmsaEnv.step`` also
-reads, so the grid must change only through ``allocate``/``release``.
+encoding is stateless and reproducible. Each path group is read from
+``NetworkSpectrum.path_blocks``, the per-path block query that
+``RmsaEnv.step`` and the first-fit heuristics also use.
 """
 
 from __future__ import annotations
@@ -57,11 +57,9 @@ class StateEncoder:
                                    self.with_position)
         base = 2 * self.node_count + 1
         self._groups = slice(base, base + k_paths * (2 * j_blocks + 3))
-        # block slots start as MISSING_BLOCK; n, average and total stay
-        # zero for a path the graph does not have
-        self._template = np.zeros(self.length, dtype=np.float64)
-        groups = self._template[self._groups].reshape(k_paths, -1)
-        groups[:, :2 * j_blocks] = np.tile(MISSING_BLOCK, j_blocks)
+        # the group of a path the graph does not have: J missing blocks,
+        # then zero n, average and total
+        self._absent_group = MISSING_BLOCK * j_blocks + (0.0, 0.0, 0.0)
 
     def encode(self, req: Request, spectrum: NetworkSpectrum,
                paths: tuple[CandidatePath, ...],
@@ -83,31 +81,26 @@ class StateEncoder:
 
         n_nodes = self.node_count
         f0 = float(self.slot_count)
-        out = self._template.copy()
+        out = np.zeros(self.length, dtype=np.float64)
         out[req.src] = 1.0
         out[n_nodes + req.dst] = 1.0
         out[2 * n_nodes] = min(req.duration / self.tau_scale, 1.0)
 
-        # one row per candidate path: J (start, size) pairs, n, avg, total
-        n_paths = len(paths)
-        groups = out[self._groups].reshape(self.k_paths, -1)
-        n_slots = np.array([required_slots(req.bandwidth_gbps, p.modulation,
-                                           self.slot_capacity_gbps)
-                            for p in paths])
-        rows, starts, sizes = spectrum.path_blocks(paths)
-        # rank of each usable block within its path; keep the first J
-        usable = np.flatnonzero(sizes >= n_slots[rows])
-        urows = rows[usable]
-        rank = np.arange(usable.size) - np.searchsorted(urows, urows)
-        keep = rank < self.j_blocks
-        pick, urows, col = usable[keep], urows[keep], 2 * rank[keep]
-        groups[urows, col] = starts[pick] / f0
-        groups[urows, col + 1] = sizes[pick] / f0
-        total = np.bincount(rows, weights=sizes, minlength=n_paths)
-        count = np.bincount(rows, minlength=n_paths)
-        groups[:n_paths, -3] = n_slots / self.max_slots
-        groups[:n_paths, -2] = total / np.maximum(count, 1) / f0
-        groups[:n_paths, -1] = total / f0
+        # one group per candidate path: J (start, size) pairs, n, avg, total
+        j_blocks = self.j_blocks
+        values = []
+        for path in paths:
+            n_slots = required_slots(req.bandwidth_gbps, path.modulation,
+                                     self.slot_capacity_gbps)
+            blocks, total, count = spectrum.path_blocks(path, n_slots,
+                                                        j_blocks)
+            for start, size in blocks:
+                values += (start / f0, size / f0)
+            values += MISSING_BLOCK * (j_blocks - len(blocks))
+            values += (n_slots / self.max_slots,
+                       total / max(count, 1) / f0, total / f0)
+        values += self._absent_group * (self.k_paths - len(paths))
+        out[self._groups] = values
 
         if self.with_position:
             out[-1] = (pos_n - pos_i + 1) / pos_n

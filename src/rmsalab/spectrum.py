@@ -2,12 +2,13 @@
 
 A lightpath occupies the same contiguous slot range on every link of its
 route (no spectrum conversion), so feasibility on a path reduces to block
-search over the slot-wise AND of the links' free masks.
+search over the slots free on all of its links.
 
-``path_blocks`` is the one view of all candidate paths' blocks that the
-encoder and ``step`` read, memoised until the grid changes. The grid
-changes only through ``allocate`` and ``release``, which bump
-``_version``; any other writer must bump it too, or the view goes stale.
+Each link's occupancy is one Python ``int``: bit s is set when slot s is
+used. A path's free slots are the complement of the OR of its links, and
+``path_blocks`` answers every block question on that one bitset with a
+few whole-word operations. First fit, the j-th usable block, the
+encoder's per-path fields and ``block_spans`` all read it.
 """
 
 from __future__ import annotations
@@ -29,77 +30,67 @@ class Lightpath:
     expiry: float
 
 
-def _mask_blocks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and sizes of maximal True runs in a boolean mask."""
-    edged = np.empty(mask.size + 2, dtype=bool)
-    edged[0] = edged[-1] = False
-    edged[1:-1] = mask
-    edges = np.flatnonzero(edged[1:] != edged[:-1])
-    starts = edges[0::2]
-    sizes = edges[1::2] - starts
-    return starts, sizes
-
-
 class NetworkSpectrum:
     """Slot occupancy for every link plus the active lightpath records."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
         self.slot_count = topology.slot_count
-        self._occupancy = np.zeros((topology.link_count, topology.slot_count),
-                                   dtype=bool)
+        self._full = (1 << topology.slot_count) - 1
+        # bit s of _links[i] is set when slot s of link i is used
+        self._links: list[int] = [0] * topology.link_count
         self._active: dict[int, Lightpath] = {}
-        self._version = 0
-        # id(paths) -> (paths, K x H link indices); the kept tuple pins the id
-        self._path_index: dict[int, tuple[tuple, np.ndarray]] = {}
-        self._view: tuple = (None, -1, None)
 
-    def path_free_mask(self, path: CandidatePath) -> np.ndarray:
-        """Slots simultaneously free on every link of ``path``."""
-        ids = path.link_ids
-        if len(ids) == 1:
-            return ~self._occupancy[ids[0]]
-        return ~(self._occupancy[list(ids)].any(axis=0))
+    def path_blocks(self, path: CandidatePath, n: int, limit: int
+                    ) -> tuple[list[tuple[int, int]], int, int]:
+        """The first ``limit`` maximal free blocks along ``path`` that can
+        hold ``n`` slots, as (start, size) pairs in slot order, then the
+        path's total free slots and its number of maximal free blocks."""
+        if n < 1:
+            raise ContractViolation(f"slot count must be positive, got {n}")
+        links = self._links
+        used = 0
+        for link_id in path.link_ids:
+            used |= links[link_id]
+        free = ~used & self._full
+        heads = free & ~(free << 1)
+        # bit s of fit: slots s .. s + n - 1 are all free ("searching for a
+        # string of 1-bits", Warren, Hacker's Delight, 2nd ed., 6-2)
+        fit = free
+        while n > 1:
+            shift = n >> 1
+            fit &= fit >> shift
+            n -= shift
+        usable = heads & fit
+        blocks = []
+        while usable and len(blocks) < limit:
+            low = usable & -usable
+            start = low.bit_length() - 1
+            run = free >> start
+            # trailing ones of run: the block's size
+            blocks.append((start, (run ^ (run + 1)).bit_length() - 1))
+            usable ^= low
+        return blocks, free.bit_count(), heads.bit_count()
 
     def block_spans(self, path: CandidatePath) -> tuple[np.ndarray, np.ndarray]:
         """(starts, sizes) arrays of the maximal free blocks along ``path``."""
-        return _mask_blocks(self.path_free_mask(path))
-
-    def path_blocks(self, paths: tuple[CandidatePath, ...]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, starts, sizes) of the maximal free blocks of every path in
-        the path-table tuple ``paths``, row-major: block i lies on path
-        ``rows[i]``. Kept until the grid changes; callers must not write."""
-        if self._view[0] is paths and self._view[1] == self._version:
-            return self._view[2]
-        entry = self._path_index.get(id(paths))
-        if entry is None or entry[0] is not paths:
-            # a short path repeats its last link, which leaves any() as is
-            hops = max(len(p.link_ids) for p in paths)
-            index = np.array([p.link_ids + p.link_ids[-1:]
-                              * (hops - len(p.link_ids)) for p in paths])
-            entry = self._path_index[id(paths)] = (paths, index)
-        edged = np.zeros((len(paths), self.slot_count + 2), dtype=bool)
-        edged[:, 1:-1] = ~self._occupancy[entry[1]].any(axis=1)
-        rows, edges = np.nonzero(edged[:, 1:] != edged[:, :-1])
-        starts = edges[0::2]
-        blocks = (rows[0::2], starts, edges[1::2] - starts)
-        self._view = (paths, self._version, blocks)
-        return blocks
+        blocks = self.path_blocks(path, 1, self.slot_count)[0]
+        spans = np.array(blocks, dtype=np.intp).reshape(-1, 2)
+        return spans[:, 0], spans[:, 1]
 
     def usable_block_start(self, path: CandidatePath, n: int,
                            j: int = 0) -> int | None:
         """Start of the ``j``-th lowest maximal free block along ``path``
         that can hold ``n`` slots, or None; ``j = 0`` is first fit."""
-        starts, sizes = self.block_spans(path)
-        fits = np.flatnonzero(sizes >= n)
-        if j >= fits.size:
-            return None
-        return int(starts[fits[j]])
+        if j < 0:
+            raise ContractViolation(f"block index must be >= 0, got {j}")
+        blocks = self.path_blocks(path, n, j + 1)[0]
+        return blocks[j][0] if j < len(blocks) else None
 
     def allocate(self, path: CandidatePath, start: int, n: int,
                  lightpath_id: int, expiry: float) -> None:
-        """Occupy ``[start, start + n)`` on every link of ``path``."""
+        """Occupy ``[start, start + n)`` on every link of ``path``; on any
+        conflict nothing is written."""
         if n < 1:
             raise ContractViolation(f"slot count must be positive, got {n}")
         if start < 0 or start + n > self.slot_count:
@@ -108,14 +99,15 @@ class NetworkSpectrum:
                 f"{self.slot_count}")
         if lightpath_id in self._active:
             raise ContractViolation(f"lightpath {lightpath_id} already active")
-        ids = list(path.link_ids)
-        region = self._occupancy[ids, start:start + n]
-        if region.any():
-            raise ContractViolation(
-                f"allocation [{start}, {start + n}) overlaps occupied slots "
-                f"on path links {path.link_ids}")
-        self._occupancy[ids, start:start + n] = True
-        self._version += 1
+        links = self._links
+        mask = ((1 << n) - 1) << start
+        for link_id in path.link_ids:
+            if links[link_id] & mask:
+                raise ContractViolation(
+                    f"allocation [{start}, {start + n}) overlaps occupied "
+                    f"slots on path links {path.link_ids}")
+        for link_id in path.link_ids:
+            links[link_id] |= mask
         self._active[lightpath_id] = Lightpath(
             lightpath_id, path.link_ids, start, n, expiry)
 
@@ -124,15 +116,15 @@ class NetworkSpectrum:
         record = self._active.pop(lightpath_id, None)
         if record is None:
             raise ContractViolation(f"lightpath {lightpath_id} is not active")
-        ids = list(record.link_ids)
-        self._occupancy[ids, record.start:record.start + record.n_slots] = False
-        self._version += 1
+        links = self._links
+        mask = ~(((1 << record.n_slots) - 1) << record.start)
+        for link_id in record.link_ids:
+            links[link_id] &= mask
 
     def occupied_slot_count(self) -> int:
-        return int(self._occupancy.sum())
+        return sum(used.bit_count() for used in self._links)
 
     def dump(self) -> str:
         """Debug snapshot: one 0/1 row per link, slot 0 first."""
-        return "\n".join(
-            "".join("1" if used else "0" for used in row)
-            for row in self._occupancy)
+        return "\n".join(format(used, f"0{self.slot_count}b")[::-1]
+                         for used in self._links)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rmsalab.config import RunConfig
@@ -37,11 +38,13 @@ def nsfnet_paths(nsfnet):
 def _set_grid(spectrum, occupied, free=()):
     """Seed ``spectrum``'s grid: every link gets ``occupied`` (a bool, one
     row of slots, or a links x slots mask), then the ``free`` slots are
-    freed on every link. Bumps the grid version, as ``allocate`` and
-    ``release`` do, so the memoised block view is rebuilt."""
-    spectrum._occupancy[:] = occupied
-    spectrum._occupancy[:, list(free)] = False
-    spectrum._version += 1
+    freed on every link."""
+    grid = np.zeros((spectrum.topology.link_count, spectrum.slot_count),
+                    dtype=bool)
+    grid[:] = occupied
+    grid[:, list(free)] = False
+    spectrum._links[:] = [sum(1 << int(s) for s in np.flatnonzero(row))
+                          for row in grid]
 
 
 @pytest.fixture(scope="session")

@@ -172,8 +172,8 @@ def test_step_matches_single_path_first_fit(nsfnet, nsfnet_paths, set_grid,
 
 
 def test_allocate_and_release_refresh_the_shared_view(nsf_env):
-    # encode and step read one memoised block view; a grid change through
-    # allocate or release must show in the next encode and step
+    # encode and step read the grid through one block query; a change
+    # through allocate or release must show in the next encode and step
     cfg = RunConfig()
     encoder = StateEncoder(nsf_env.topology, k_paths=5, j_blocks=1,
                            mode="flx", mean_duration=cfg.mean_duration,

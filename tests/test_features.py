@@ -181,8 +181,8 @@ def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, set_grid, seed,
 
 
 def reference_encode(encoder, req, spectrum, paths, episode_pos=None):
-    """The per-path encoder loop, kept as the reference the vectorised
-    ``StateEncoder.encode`` must match bit for bit."""
+    """The per-path encoder loop over ``block_spans`` arrays, kept as the
+    reference ``StateEncoder.encode`` must match bit for bit."""
     n_nodes = encoder.node_count
     f0 = float(encoder.slot_count)
     out = np.zeros(encoder.length, dtype=np.float64)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rmsalab.config import RunConfig
 from rmsalab.errors import ContractViolation
@@ -157,11 +158,11 @@ def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
                                                           set_grid):
     rng = np.random.default_rng(5)
     spectrum = NetworkSpectrum(nsfnet)
-    set_grid(spectrum, rng.random((nsfnet.link_count, nsfnet.slot_count))
-             < 0.4)
+    grid = rng.random((nsfnet.link_count, nsfnet.slot_count)) < 0.4
+    set_grid(spectrum, grid)
     for pair in [(0, 5), (3, 9), (12, 2)]:
         for path in nsfnet_paths[pair]:
-            mask = spectrum.path_free_mask(path)
+            mask = ~grid[list(path.link_ids)].any(axis=0)
             blocks = spans(spectrum, path)
             rebuilt = np.zeros_like(mask)
             prev_end = -1
@@ -196,31 +197,102 @@ def test_path_blocks_match_block_spans_of_each_path(nsfnet, nsfnet_paths,
                  < fill)
         for pair in [(0, 5), (3, 9), (12, 2), (6, 7)]:
             paths = nsfnet_paths[pair]
-            assert len({len(p.link_ids) for p in paths}) > 1  # padded rows
-            rows, starts, sizes = spectrum.path_blocks(paths)
-            for k, path in enumerate(paths):
-                want_starts, want_sizes = spectrum.block_spans(path)
-                assert np.array_equal(starts[rows == k], want_starts)
-                assert np.array_equal(sizes[rows == k], want_sizes)
-            assert np.all(np.diff(rows) >= 0)  # row-major
+            assert len({len(p.link_ids) for p in paths}) > 1  # hop counts
+            for path in paths:
+                starts, sizes = spectrum.block_spans(path)
+                assert np.all(np.diff(starts) > 0)  # slot order
+                blocks = list(zip(starts.tolist(), sizes.tolist()))
+                for n in (1, 2, 5, 8):
+                    usable = [b for b in blocks if b[1] >= n]
+                    for limit in (0, 1, 3):
+                        assert spectrum.path_blocks(path, n, limit) == (
+                            usable[:limit], int(sizes.sum()), len(blocks))
 
 
-def test_path_blocks_memo_lasts_until_the_grid_changes(nsfnet,
-                                                      nsfnet_paths):
+def scan_blocks(free):
+    """Maximal free runs of a list of per-slot flags, as (start, size)
+    pairs, by a plain slot-by-slot scan."""
+    blocks = []
+    run = 0
+    for slot, ok in enumerate(list(free) + [False]):
+        if ok:
+            run += 1
+        elif run:
+            blocks.append((slot - run, run))
+            run = 0
+    return blocks
+
+
+LINE_SLOTS = 10
+EDGE_BLOCKS = [True] * 2 + [False] * 6 + [True] * 2  # slots 0-1 and 8-9 free
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(used=st.lists(st.lists(st.booleans(), min_size=LINE_SLOTS,
+                              max_size=LINE_SLOTS), min_size=2, max_size=2),
+       n=st.integers(1, LINE_SLOTS), j=st.integers(0, 3))
+@example(used=[[False] * LINE_SLOTS] * 2, n=LINE_SLOTS, j=0)  # empty
+@example(used=[[False] * LINE_SLOTS] * 2, n=1, j=1)
+@example(used=[[True] * LINE_SLOTS] * 2, n=1, j=0)  # full
+@example(used=[[not f for f in EDGE_BLOCKS], [False] * LINE_SLOTS],
+         n=2, j=1)  # blocks touching slot 0 and slot S - 1
+@example(used=[[not f for f in EDGE_BLOCKS], [False] * LINE_SLOTS],
+         n=3, j=0)  # n above the largest block
+def test_block_query_matches_a_slot_scan(line, used, n, j):
+    spectrum = NetworkSpectrum(line)
+    for link_id, row in enumerate(used):
+        for slot, is_used in enumerate(row):
+            if is_used:
+                single = _one_link_path(line, link_id, link_id + 1)
+                spectrum.allocate(single, slot, 1, 100 * link_id + slot, 0.0)
+    # two single-link paths and the two-link path
+    for path in (_one_link_path(line, 0, 1), _one_link_path(line, 1, 2),
+                 _two_link_path(line)):
+        free = [not any(used[i][s] for i in path.link_ids)
+                for s in range(LINE_SLOTS)]
+        blocks = scan_blocks(free)
+        usable = [b for b in blocks if b[1] >= n]
+        assert spans(spectrum, path) == blocks
+        assert spectrum.usable_block_start(path, n, j) == (
+            usable[j][0] if j < len(usable) else None)
+        assert spectrum.path_blocks(path, n, j + 1) == (
+            usable[:j + 1], sum(free), len(blocks))
+
+
+def test_block_query_rejects_bad_demand_and_block_index(nsfnet,
+                                                        nsfnet_paths):
+    # a negative index must not read blocks from the end, nor n = 0 fit
     spectrum = NetworkSpectrum(nsfnet)
-    paths = nsfnet_paths[(0, 5)]
-    view = spectrum.path_blocks(paths)
-    assert spectrum.path_blocks(paths) is view
-    assert spectrum.path_blocks(nsfnet_paths[(5, 0)]) is not view
-    spectrum.allocate(paths[0], 0, 4, lightpath_id=1, expiry=1.0)
-    after_allocate = spectrum.path_blocks(paths)
-    assert after_allocate is not view
-    assert after_allocate[1][0] == 4  # path 0 now starts at slot 4
-    spectrum.release(1)
-    assert spectrum.path_blocks(paths)[1][0] == 0
+    path = nsfnet_paths[(0, 5)][0]
+    spectrum.allocate(path, 10, 5, lightpath_id=1, expiry=1.0)
+    with pytest.raises(ContractViolation, match="block index"):
+        spectrum.usable_block_start(path, 2, -1)
+    for n in (0, -3):
+        with pytest.raises(ContractViolation, match="slot count"):
+            spectrum.usable_block_start(path, n)
+        with pytest.raises(ContractViolation, match="slot count"):
+            spectrum.path_blocks(path, n, 1)
+
+
+def test_overlapping_allocate_writes_no_link(line, line_spectrum):
+    # the conflict is on the path's last link only, so a write before
+    # every link is checked would show on the first
+    line_spectrum.allocate(_one_link_path(line, 1, 2), 4, 2, 1, 1.0)
+    before = line_spectrum.dump()
+    with pytest.raises(ContractViolation, match="overlap"):
+        line_spectrum.allocate(_two_link_path(line), 3, 3, 2, 1.0)
+    assert line_spectrum.dump() == before
+    assert line_spectrum.occupied_slot_count() == 2
+    with pytest.raises(ContractViolation, match="not active"):
+        line_spectrum.release(2)
+    line_spectrum.release(1)
+    assert line_spectrum.occupied_slot_count() == 0
 
 
 def test_dump_is_zero_one_rows(line, line_spectrum):
     line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 3, 9, 1.0)
     rows = line_spectrum.dump().splitlines()
     assert rows == ["1110000000", "0000000000"]
+    line_spectrum.allocate(_two_link_path(line), 5, 2, 10, 1.0)
+    assert line_spectrum.dump() == "1110011000\n0000011000"
