@@ -50,9 +50,6 @@ class RunConfig:
     reach_8qam: float = 1250.0
     reach_qpsk: float = 2500.0
     slot_capacity_gbps: float = 12.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     entropy_sign: str = "bonus"
     grad_clip: float = 0.0
     share_hidden: bool = False
@@ -89,9 +86,6 @@ class RunConfig:
                 "non-decreasing toward lower orders")
         require(self.slot_capacity_gbps > 0, "slot_capacity_gbps",
                 "must be > 0")
-        require(0 < self.adam_beta1 < 1, "adam_beta1", "must be in (0, 1)")
-        require(0 < self.adam_beta2 < 1, "adam_beta2", "must be in (0, 1)")
-        require(self.adam_eps > 0, "adam_eps", "must be > 0")
         require(self.entropy_sign in ENTROPY_SIGNS, "entropy_sign",
                 f"must be one of {'|'.join(ENTROPY_SIGNS)}")
         require(self.grad_clip >= 0, "grad_clip", "must be >= 0")
@@ -123,8 +117,7 @@ class RunConfig:
             epochs=self.epochs, gamma=self.gamma,
             entropy_weight=self.entropy_weight, batch_size=self.batch_size,
             learning_rate=self.learning_rate, worker_count=self.workers,
-            mode=self.mode, seed=self.seed, adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2, adam_eps=self.adam_eps,
+            mode=self.mode, seed=self.seed,
             entropy_sign=ENTROPY_SIGNS[self.entropy_sign],
             grad_clip=self.grad_clip, checkpoint_every=self.checkpoint_every,
             metrics_window=self.metrics_window)

@@ -120,9 +120,8 @@ class RmsaEnv:
     def _provision(self, req: Request, path: CandidatePath, path_index: int,
                    start: int, n: int) -> ProvisionOutcome:
         lightpath_id = next(self._ids)
-        expiry = req.arrival_time + req.duration
-        self.spectrum.allocate(path, start, n, lightpath_id, expiry)
-        self.departures.push(expiry, lightpath_id)
+        self.spectrum.allocate(path, start, n, lightpath_id)
+        self.departures.push(req.arrival_time + req.duration, lightpath_id)
         self.stats.record(True)
         return ProvisionOutcome(True, path_index, start, n, 1.0)
 

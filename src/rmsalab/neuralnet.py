@@ -1,15 +1,19 @@
 """Fully-connected policy and value networks with hand-derived gradients.
 
 Both networks are plain ELU stacks of identical shape; the policy head
-emits one logit per action and the value head a single scalar. Gradients
-for the advantage-weighted log-likelihood loss (with entropy term) and
-the mean-squared value loss are computed analytically for this fixed
-architecture, and parameters are updated with bias-corrected Adam. All
-math is double precision.
+emits one logit per action and the value head a single scalar. All
+parameters live in one flat float64 vector, and every weight and bias is
+a reshaped view into it, so a weight sync, a copy and an Adam step are
+each one whole-vector operation. Gradients for the advantage-weighted
+log-likelihood loss (with entropy term) and the mean-squared value loss
+are computed analytically for this fixed architecture into a vector laid
+out like the parameters, and parameters are updated with bias-corrected
+Adam. All math is double precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +23,9 @@ from .errors import ContractViolation
 
 PROB_FLOOR = 1e-12
 CHECKPOINT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,97 +50,75 @@ class LayerSpec:
 
 
 class ParamSet:
-    """Policy and value network parameters plus shared Adam state.
+    """Policy and value network parameters in one flat vector, plus Adam
+    state shaped like it.
 
-    With ``shared_hidden`` the two networks alias the same hidden-layer
-    arrays and only the output heads differ; gradients of both losses
-    then sum into the shared arrays on update.
+    ``flat`` holds every distinct array back to back, weight then bias,
+    layer by layer: the policy net, then the value net. With
+    ``shared_hidden`` the value net keeps only its head there and reuses
+    the policy's hidden layers, so gradients of both losses sum into the
+    shared arrays. ``policy_weights``, ``policy_biases``,
+    ``value_weights`` and ``value_biases`` are lists of views into
+    ``flat``; under a shared trunk the hidden views are the same objects
+    in both nets.
     """
 
-    def __init__(self, spec: LayerSpec, policy_weights, policy_biases,
-                 value_weights, value_biases, shared_hidden: bool = False):
+    def __init__(self, spec: LayerSpec, shared_hidden: bool = False):
         self.spec = spec
-        self.policy_weights = policy_weights
-        self.policy_biases = policy_biases
-        self.value_weights = value_weights
-        self.value_biases = value_biases
         self.shared_hidden = shared_hidden
+        value_dims = spec.dims(1)[-1:] if shared_hidden else spec.dims(1)
+        self._shapes = [shape
+                        for fan_in, fan_out in spec.dims(spec.action_count)
+                        + value_dims
+                        for shape in ((fan_in, fan_out), (fan_out,))]
+        sizes = [math.prod(shape) for shape in self._shapes]
+        self._offsets = np.cumsum(sizes)[:-1]
+        self.flat = np.zeros(sum(sizes))
         self.adam_step = 0
-        uniques = self._unique_params()
-        self.adam_m = [np.zeros_like(p) for p in uniques]
-        self.adam_v = [np.zeros_like(p) for p in uniques]
+        self.adam_m = np.zeros_like(self.flat)
+        self.adam_v = np.zeros_like(self.flat)
+        (self.policy_weights, self.policy_biases, self.value_weights,
+         self.value_biases) = self.layer_views(self.flat)
 
-    def _unique_params(self) -> list[np.ndarray]:
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """The distinct arrays of a vector laid out like ``flat``, in
+        layout order."""
+        return [part.reshape(shape) for part, shape
+                in zip(np.split(vec, self._offsets), self._shapes)]
+
+    def layer_views(self, vec: np.ndarray):
+        """(policy weights, policy biases, value weights, value biases)
+        view lists of a vector laid out like ``flat``."""
+        arrays = self.views(vec)
+        policy_count = 2 * (self.spec.hidden_layers + 1)
+        pw = arrays[0:policy_count:2]
+        pb = arrays[1:policy_count:2]
+        vw = arrays[policy_count::2]
+        vb = arrays[policy_count + 1::2]
         if self.shared_hidden:
-            hidden = []
-            for w, b in zip(self.policy_weights[:-1], self.policy_biases[:-1]):
-                hidden.extend((w, b))
-            return hidden + [self.policy_weights[-1], self.policy_biases[-1],
-                             self.value_weights[-1], self.value_biases[-1]]
-        out = []
-        for w, b in zip(self.policy_weights, self.policy_biases):
-            out.extend((w, b))
-        for w, b in zip(self.value_weights, self.value_biases):
-            out.extend((w, b))
-        return out
+            vw = pw[:-1] + vw
+            vb = pb[:-1] + vb
+        return pw, pb, vw, vb
 
-    def pair_grads(self, grads: "GradientSet") -> list[tuple[np.ndarray, np.ndarray]]:
-        """(parameter, gradient) pairs over unique parameters.
-
-        Under shared hidden layers the two nets' hidden gradients are
-        summed so each shared array is updated exactly once.
-        """
-        if self.shared_hidden:
-            pairs: list[tuple[np.ndarray, np.ndarray]] = []
-            for i, (w, b) in enumerate(zip(self.policy_weights[:-1],
-                                           self.policy_biases[:-1])):
-                pairs.append((w, grads.policy_w[i] + grads.value_w[i]))
-                pairs.append((b, grads.policy_b[i] + grads.value_b[i]))
-            pairs.append((self.policy_weights[-1], grads.policy_w[-1]))
-            pairs.append((self.policy_biases[-1], grads.policy_b[-1]))
-            pairs.append((self.value_weights[-1], grads.value_w[-1]))
-            pairs.append((self.value_biases[-1], grads.value_b[-1]))
-            return pairs
-        params = self._unique_params()
-        flat: list[np.ndarray] = []
-        for w, b in zip(grads.policy_w, grads.policy_b):
-            flat.extend((w, b))
-        for w, b in zip(grads.value_w, grads.value_b):
-            flat.extend((w, b))
-        return list(zip(params, flat))
+    def assign(self, policy_weights, policy_biases, value_weights,
+               value_biases) -> None:
+        """Copy per-layer arrays in. The policy's are written last, so
+        under a shared trunk the value net's hidden arrays are ignored."""
+        for dst, src in zip(self.value_weights + self.value_biases
+                            + self.policy_weights + self.policy_biases,
+                            value_weights + value_biases
+                            + policy_weights + policy_biases):
+            np.copyto(dst, src)
 
     def clone(self) -> "ParamSet":
         """Independent deep copy (fresh Adam state)."""
-        pw = [w.copy() for w in self.policy_weights]
-        pb = [b.copy() for b in self.policy_biases]
-        if self.shared_hidden:
-            vw = pw[:-1] + [self.value_weights[-1].copy()]
-            vb = pb[:-1] + [self.value_biases[-1].copy()]
-        else:
-            vw = [w.copy() for w in self.value_weights]
-            vb = [b.copy() for b in self.value_biases]
-        return ParamSet(self.spec, pw, pb, vw, vb, self.shared_hidden)
+        copy = ParamSet(self.spec, self.shared_hidden)
+        np.copyto(copy.flat, self.flat)
+        return copy
 
     def copy_weights_from(self, other: "ParamSet") -> None:
         """In-place weight sync; Adam state is left untouched."""
-        for dst, src in zip(self._unique_params(), other._unique_params()):
-            np.copyto(dst, src)
-
-
-class GradientSet:
-    """Loss gradients, shaped exactly like the networks they came from."""
-
-    def __init__(self, policy_w, policy_b, value_w, value_b):
-        self.policy_w = policy_w
-        self.policy_b = policy_b
-        self.value_w = value_w
-        self.value_b = value_b
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for group in (self.policy_w, self.policy_b, self.value_w, self.value_b):
-            out.extend(group)
-        return out
+        np.copyto(self.flat, other.flat)
 
 
 @dataclass(frozen=True)
@@ -180,12 +165,13 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
             biases.append(np.zeros(fan_out))
         return weights, biases
 
+    # both stacks are drawn, in this order, also when the value net's
+    # hidden layers are then dropped for a shared trunk
     pw, pb = stack(spec.action_count)
     vw, vb = stack(1)
-    if shared_hidden:
-        vw = pw[:-1] + vw[-1:]
-        vb = pb[:-1] + vb[-1:]
-    return ParamSet(spec, pw, pb, vw, vb, shared_hidden)
+    params = ParamSet(spec, shared_hidden)
+    params.assign(pw, pb, vw, vb)
+    return params
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -280,24 +266,26 @@ def value_loss(params: ParamSet, batch: Batch) -> float:
     return float(np.mean((values - batch.returns) ** 2))
 
 
-def _backprop(weights, inputs, pres, dout):
-    grads_w = [np.empty(0)] * len(weights)
-    grads_b = [np.empty(0)] * len(weights)
+def _backprop(weights, inputs, pres, dout, grads_w, grads_b) -> None:
+    """Add one net's gradients into the ``grads_w`` / ``grads_b`` views."""
     delta = dout
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = inputs[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        grads_w[layer] += inputs[layer].T @ delta
+        grads_b[layer] += delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ weights[layer].T) * _elu_grad(pres[layer - 1])
-    return grads_w, grads_b
 
 
 def backward(params: ParamSet, batch: Batch, entropy_weight: float,
-             entropy_sign: float = -1.0) -> tuple[GradientSet, BatchStats]:
-    """Exact gradients of both losses at the current parameters."""
+             entropy_sign: float = -1.0) -> tuple[np.ndarray, BatchStats]:
+    """Exact gradients of both losses at the current parameters, as one
+    vector laid out like ``params.flat``; a shared hidden layer gets the
+    sum of both nets' gradients."""
     _check_input(params.spec, batch.states)
     n = len(batch.actions)
     idx = np.arange(n)
+    grads = np.zeros_like(params.flat)
+    grad_pw, grad_pb, grad_vw, grad_vb = params.layer_views(grads)
 
     p_inputs, p_pres = _forward_trace(params.policy_weights,
                                       params.policy_biases, batch.states)
@@ -312,22 +300,20 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
         dlogits += (entropy_sign * entropy_weight) * (
             -probs * (logp + sample_entropy[:, None]))
     dlogits /= n
-    policy_w, policy_b = _backprop(params.policy_weights, p_inputs, p_pres,
-                                   dlogits)
+    _backprop(params.policy_weights, p_inputs, p_pres, dlogits, grad_pw,
+              grad_pb)
 
     v_inputs, v_pres = _forward_trace(params.value_weights,
                                       params.value_biases, batch.states)
     values = v_pres[-1][:, 0]
     residual = values - batch.returns
     dvalue = (2.0 / n) * residual[:, None]
-    value_w, value_b = _backprop(params.value_weights, v_inputs, v_pres, dvalue)
-
-    grads = GradientSet(policy_w, policy_b, value_w, value_b)
-    for g in grads.arrays():
-        if not np.isfinite(g).all():
-            raise ContractViolation(
-                "non-finite gradient encountered; batch advantages "
-                f"min/max = {batch.advantages.min()}/{batch.advantages.max()}")
+    _backprop(params.value_weights, v_inputs, v_pres, dvalue, grad_vw,
+              grad_vb)
+    if not np.isfinite(grads).all():
+        raise ContractViolation(
+            "non-finite gradient encountered; batch advantages "
+            f"min/max = {batch.advantages.min()}/{batch.advantages.max()}")
 
     p_loss = -float(np.mean(batch.advantages * logp[idx, batch.actions]))
     mean_entropy = float(sample_entropy.mean())
@@ -337,39 +323,36 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
     return grads, BatchStats(p_loss, v_loss, mean_entropy)
 
 
-def adam_apply(params: ParamSet, grads: GradientSet, lr: float,
-               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+def adam_apply(params: ParamSet, grads: np.ndarray, lr: float,
                grad_clip: float = 0.0) -> None:
     """Bias-corrected Adam step applied in place to ``params``.
 
-    ``grad_clip`` > 0 rescales the whole gradient set to that global
+    ``grad_clip`` > 0 rescales the whole gradient vector to that global
     L2 norm when exceeded; 0 disables clipping.
     """
-    pairs = params.pair_grads(grads)
-    for p, g in pairs:
-        if p.shape != g.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {p.shape}")
+    if grads.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match "
+                         f"parameters {params.flat.shape}")
     if grad_clip > 0.0:
-        norm = np.sqrt(sum(float((g * g).sum()) for _, g in pairs))
+        # summed per array, in layout order: one dot product over the
+        # whole vector would round differently
+        norm = np.sqrt(sum(float((g * g).sum())
+                           for g in params.views(grads)))
         if norm > grad_clip:
-            scale = grad_clip / norm
-            pairs = [(p, g * scale) for p, g in pairs]
+            grads = grads * (grad_clip / norm)
     params.adam_step += 1
     t = params.adam_step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    for i, (p, g) in enumerate(pairs):
-        m = params.adam_m[i]
-        v = params.adam_v[i]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-        if not np.isfinite(p).all():
-            raise ContractViolation(
-                f"non-finite parameter after Adam step {t}")
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    m = params.adam_m
+    v = params.adam_v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    if not np.isfinite(params.flat).all():
+        raise ContractViolation(f"non-finite parameter after Adam step {t}")
 
 
 def save_checkpoint(params: ParamSet, path: str | Path) -> None:
@@ -390,7 +373,8 @@ def save_checkpoint(params: ParamSet, path: str | Path) -> None:
     for i, (w, b) in enumerate(zip(params.value_weights, params.value_biases)):
         payload[f"value_w{i}"] = w
         payload[f"value_b{i}"] = b
-    for i, (m, v) in enumerate(zip(params.adam_m, params.adam_v)):
+    for i, (m, v) in enumerate(zip(params.views(params.adam_m),
+                                   params.views(params.adam_v))):
         payload[f"adam_m{i}"] = m
         payload[f"adam_v{i}"] = v
     with open(path, "wb") as fh:
@@ -404,18 +388,14 @@ def load_checkpoint(path: str | Path) -> ParamSet:
             raise ValueError(f"unsupported checkpoint version {version}")
         spec = LayerSpec(int(data["input_dim"]), int(data["hidden_layers"]),
                          int(data["hidden_width"]), int(data["action_count"]))
-        shared = bool(int(data["shared_hidden"]))
+        params = ParamSet(spec, bool(int(data["shared_hidden"])))
         layer_count = spec.hidden_layers + 1
-        pw = [data[f"policy_w{i}"] for i in range(layer_count)]
-        pb = [data[f"policy_b{i}"] for i in range(layer_count)]
-        vw = [data[f"value_w{i}"] for i in range(layer_count)]
-        vb = [data[f"value_b{i}"] for i in range(layer_count)]
-        if shared:
-            vw = pw[:-1] + vw[-1:]
-            vb = pb[:-1] + vb[-1:]
-        params = ParamSet(spec, pw, pb, vw, vb, shared)
+        params.assign(*([data[f"{key}{i}"] for i in range(layer_count)]
+                        for key in ("policy_w", "policy_b", "value_w",
+                                    "value_b")))
         params.adam_step = int(data["adam_step"])
-        for i in range(len(params.adam_m)):
-            np.copyto(params.adam_m[i], data[f"adam_m{i}"])
-            np.copyto(params.adam_v[i], data[f"adam_v{i}"])
+        for i, (m, v) in enumerate(zip(params.views(params.adam_m),
+                                       params.views(params.adam_v))):
+            np.copyto(m, data[f"adam_m{i}"])
+            np.copyto(v, data[f"adam_v{i}"])
     return params

@@ -13,25 +13,15 @@ encoder's per-path fields and ``block_spans`` all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolation
 from .topology import CandidatePath, Topology
 
 
-@dataclass(frozen=True)
-class Lightpath:
-    id: int
-    link_ids: tuple[int, ...]
-    start: int
-    n_slots: int
-    expiry: float
-
-
 class NetworkSpectrum:
-    """Slot occupancy for every link plus the active lightpath records."""
+    """Slot occupancy for every link plus, per active lightpath, its links
+    and slot mask."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -39,7 +29,7 @@ class NetworkSpectrum:
         self._full = (1 << topology.slot_count) - 1
         # bit s of _links[i] is set when slot s of link i is used
         self._links: list[int] = [0] * topology.link_count
-        self._active: dict[int, Lightpath] = {}
+        self._active: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def path_blocks(self, path: CandidatePath, n: int, limit: int
                     ) -> tuple[list[tuple[int, int]], int, int]:
@@ -88,7 +78,7 @@ class NetworkSpectrum:
         return blocks[j][0] if j < len(blocks) else None
 
     def allocate(self, path: CandidatePath, start: int, n: int,
-                 lightpath_id: int, expiry: float) -> None:
+                 lightpath_id: int) -> None:
         """Occupy ``[start, start + n)`` on every link of ``path``; on any
         conflict nothing is written."""
         if n < 1:
@@ -108,18 +98,17 @@ class NetworkSpectrum:
                     f"slots on path links {path.link_ids}")
         for link_id in path.link_ids:
             links[link_id] |= mask
-        self._active[lightpath_id] = Lightpath(
-            lightpath_id, path.link_ids, start, n, expiry)
+        self._active[lightpath_id] = (path.link_ids, mask)
 
     def release(self, lightpath_id: int) -> None:
         """Free every slot held by the given lightpath."""
         record = self._active.pop(lightpath_id, None)
         if record is None:
             raise ContractViolation(f"lightpath {lightpath_id} is not active")
+        link_ids, mask = record
         links = self._links
-        mask = ~(((1 << record.n_slots) - 1) << record.start)
-        for link_id in record.link_ids:
-            links[link_id] &= mask
+        for link_id in link_ids:
+            links[link_id] &= ~mask
 
     def occupied_slot_count(self) -> int:
         return sum(used.bit_count() for used in self._links)

@@ -1,24 +1,30 @@
 """Lockstep actor-learner training loop.
 
-W actors share one global parameter set. Each actor owns a private
-environment, demand stream, action RNG, sample buffer and local copy of
-the networks. Training runs in rounds on one thread: in each round every
-actor, in worker order, serves one request, and an actor whose buffer
-reaches its trigger trains at once, so gradients are applied in a fixed
-order and a run is reproducible from its seed. One epoch is one gradient
-application; the run stops as soon as the configured epoch count is
-reached. Two return rules exist, and both train on the first N buffered
-samples:
+W actors share one global parameter set and act on one behaviour
+snapshot of it. Each actor owns a private environment, demand stream,
+action RNG and sample buffer. Training runs in rounds on one thread: in
+each round every actor, in worker order, serves one request, and an
+actor whose buffer reaches its trigger trains at once, so gradients are
+applied in a fixed order and a run is reproducible from its seed. One
+epoch is one gradient application; the run stops as soon as the
+configured epoch count is reached. Two return rules exist, and both
+train on the first N buffered samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
-  state carries the request's position within it, the local networks
-  resync at each episode start, and the return of the i-th sample
+  state carries the request's position within it, the snapshot is
+  refreshed at each episode start, and the return of the i-th sample
   aggregates the remaining rewards of its own episode, so late samples
   see returns built from very few rewards.
 * sliding-window mode (``flx``): training fires once the buffer holds
   2N - 1 samples; each of the first N samples gets a return over exactly
   the N rewards that follow it, the trained samples are dropped, and the
-  local networks resync when the buffer is empty or N - 1 samples remain.
+  snapshot is refreshed when the buffer is empty or N - 1 samples remain.
+
+One snapshot serves all W actors exactly as W private copies would. Every
+buffer has the same length after each round, so for N >= 2 all actors
+refresh in the same round, and no gradient is applied in a round that
+refreshes. For N = 1 each actor refreshes just before it acts and trains,
+after the previous actor's update.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ import numpy as np
 
 from .env import RmsaEnv
 from .features import StateEncoder
-from .neuralnet import (Batch, GradientSet, LayerSpec, ParamSet, adam_apply,
-                        backward, forward_policy, forward_value, init_params,
+from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
+                        forward_policy, forward_value, init_params,
                         save_checkpoint)
 from .topology import Topology
 from .traffic import TrafficConfig
@@ -56,9 +62,6 @@ class TrainingConfig:
     worker_count: int
     mode: str
     seed: int
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
     entropy_sign: float
     grad_clip: float
     checkpoint_every: int
@@ -156,25 +159,26 @@ class ParamStore:
         self._cfg = cfg
         self.epoch = 0
 
-    def sync_into(self, local: ParamSet) -> None:
-        local.copy_weights_from(self.params)
+    def sync_into(self, snapshot: ParamSet) -> None:
+        snapshot.copy_weights_from(self.params)
 
-    def apply(self, grads: GradientSet) -> int:
+    def apply(self, grads: np.ndarray) -> int:
         """Adam-update the global set; returns the new epoch number."""
         cfg = self._cfg
-        adam_apply(self.params, grads, cfg.learning_rate, cfg.adam_beta1,
-                   cfg.adam_beta2, cfg.adam_eps, cfg.grad_clip)
+        adam_apply(self.params, grads, cfg.learning_rate, cfg.grad_clip)
         self.epoch += 1
         return self.epoch
 
 
 @dataclass
 class WorkerContext:
-    """What every actor shares: the global store and the run's outputs."""
+    """What every actor shares: the global store, the behaviour snapshot
+    the actors decide and train with, and the run's outputs."""
 
     cfg: TrainingConfig
     encoder: StateEncoder
     store: ParamStore
+    behaviour: ParamSet
     metrics: MetricsWriter | None
     out_dir: Path | None
 
@@ -185,7 +189,6 @@ class Actor:
 
     worker_id: int
     env: RmsaEnv
-    params: ParamSet
     rng: np.random.Generator
     buffer: list[ExperienceSample] = field(default_factory=list)
 
@@ -197,7 +200,7 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
     actions = np.array([smp.action for smp in samples], dtype=np.intp)
     values = np.array([smp.value for smp in samples])
     batch = Batch(states, actions, advantages(returns, values), returns)
-    grads, stats = backward(actor.params, batch, cfg.entropy_weight,
+    grads, stats = backward(ctx.behaviour, batch, cfg.entropy_weight,
                             cfg.entropy_sign)
     epoch = ctx.store.apply(grads)
     if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
@@ -219,7 +222,7 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
                episode_pos: tuple[int, int] | None) -> None:
     """Serve one request for ``actor`` under a return rule.
 
-    The local networks resync when the buffer holds 0 or
+    The behaviour snapshot is refreshed when the buffer holds 0 or
     ``trigger - N`` samples; once it holds ``trigger`` samples,
     ``returns_fn(rewards, gamma)`` gives the returns of the first N,
     which are trained on and dropped.
@@ -228,13 +231,13 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
     n = cfg.batch_size
     buffer = actor.buffer
     if len(buffer) in (0, trigger - n):
-        ctx.store.sync_into(actor.params)
+        ctx.store.sync_into(ctx.behaviour)
     env = actor.env
     req = env.arrive()
     state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
                                episode_pos=episode_pos)
-    probs = forward_policy(actor.params, state)
-    value = forward_value(actor.params, state)
+    probs = forward_policy(ctx.behaviour, state)
+    value = forward_value(ctx.behaviour, state)
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
     buffer.append(ExperienceSample(state, action, value, outcome.reward))
@@ -314,12 +317,12 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                       j_blocks=j_blocks, seed=cfg.seed + worker_id,
                       slot_capacity_gbps=slot_capacity_gbps,
                       stats_window=stats_window),
-              store.params.clone(),
               np.random.default_rng([cfg.seed, worker_id, 0xA5]))
         for worker_id in range(cfg.worker_count)]
     metrics = MetricsWriter(out_path / "metrics.csv") if out_path else None
     ctx = WorkerContext(cfg=cfg, encoder=encoder, store=store,
-                        metrics=metrics, out_dir=out_path)
+                        behaviour=store.params.clone(), metrics=metrics,
+                        out_dir=out_path)
 
     step = _WORKER_LOOPS[cfg.mode]
     report_every = max(1, cfg.epochs // 20)

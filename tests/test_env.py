@@ -53,7 +53,7 @@ def test_blocked_request_leaves_state_unchanged(nsfnet, nsfnet_paths):
     # saturate path 3 of a pair, then ask for it explicitly
     req = fixed_request(src=0, dst=5)
     path = env.candidate_paths(req)[3]
-    env.spectrum.allocate(path, 0, 100, lightpath_id=999, expiry=99.0)
+    env.spectrum.allocate(path, 0, 100, lightpath_id=999)
     before = env.spectrum.dump()
     departures_before = len(env.departures)
     out = env.step(req, action=3)
@@ -81,7 +81,7 @@ def test_sp_ff_uses_only_shortest_path(nsfnet, nsfnet_paths):
     env = make_env(nsfnet, nsfnet_paths)
     req = fixed_request(src=0, dst=5)
     shortest = env.candidate_paths(req)[0]
-    env.spectrum.allocate(shortest, 0, 100, lightpath_id=999, expiry=99.0)
+    env.spectrum.allocate(shortest, 0, 100, lightpath_id=999)
     out = env.sp_ff(req)
     assert not out.accepted  # an alternate path is free but never tried
     out2 = env.ksp_ff(fixed_request(req_id=1))
@@ -112,7 +112,7 @@ def test_ksp_blocks_only_when_all_paths_full(triangle):
     env = make_env(triangle, paths, k_paths=2)
     req = fixed_request(src=0, dst=2)
     for i, path in enumerate(env.candidate_paths(req)):
-        env.spectrum.allocate(path, 0, 100, lightpath_id=900 + i, expiry=99.0)
+        env.spectrum.allocate(path, 0, 100, lightpath_id=900 + i)
     out = env.ksp_ff(req)
     assert not out.accepted and out.path_index is None
 
@@ -187,7 +187,7 @@ def test_allocate_and_release_refresh_the_shared_view(nsf_env):
         return encoder.encode(req, spectrum, paths)[2 * 14 + 1]
 
     assert first_block_start() == 0.0
-    spectrum.allocate(paths[0], 0, 10, lightpath_id=900, expiry=99.0)
+    spectrum.allocate(paths[0], 0, 10, lightpath_id=900)
     assert first_block_start() == pytest.approx(0.1)
     out = nsf_env.step(req, action=0)
     assert out.start_slot == 10

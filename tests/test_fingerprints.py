@@ -1,7 +1,11 @@
 """Fixed-seed behaviour fingerprints.
 
 Refactors must keep these values; a change that alters them changes
-behaviour, and has to say why. The training hashes pin bit-exact float
+behaviour, and has to say why. Besides the single-worker runs, the pins
+cover the lockstep schedule across several actors (2 and 16 workers; 3
+workers with N = 1, where each actor syncs after the previous actor's
+apply in the same round) and the shared hidden trunk, whose two nets'
+gradients sum into one array. The training hashes pin bit-exact float
 arithmetic, so a numpy or BLAS build that rounds differently can change
 them without any change to this package.
 """
@@ -34,6 +38,63 @@ TRAIN_SHA256 = {
     },
 }
 
+CHECKPOINT_EVERY = 7
+RUN_SETTINGS = {
+    "flx-w2": dict(mode="flx", workers=2),
+    "flx-w16": dict(mode="flx", workers=16),
+    "ep-w3-n1": dict(mode="ep", workers=3, batch_size=1),
+    "flx-shared": dict(mode="flx", workers=1, share_hidden=True),
+}
+RUN_SHA256 = {
+    "flx-w2": {
+        "metrics.csv":
+            "e14aeb31cb68f7f81c5d672d68698e928b52b07f7b29ef553a0ab421849ed006",
+        "checkpoint-final.npz":
+            "8d00d4e61fb639495474dbd77e76a42630820dfa3e42b3defeb9ee26bba86c65",
+        "checkpoint-7.npz":
+            "ea1267a6b10e06eb8fad8d1fc2126fdad8ad566c9759ff772cec60a8b98065e8",
+    },
+    "flx-w16": {
+        "metrics.csv":
+            "5481f56b804eb78c307c11b6fdc78b54897d7e51a51eedf1b5999f3779ea7523",
+        "checkpoint-final.npz":
+            "771264480aa4999ddc13dd8a136618c5b5e6725e561372831773cbd6f1ad143f",
+        "checkpoint-7.npz":
+            "91d326e11796afe9913edd0053457f7d4f5561a34b90e685d75eb2b1c7005fdd",
+    },
+    "ep-w3-n1": {
+        "metrics.csv":
+            "981f2ed002bd68dc99fba403e7c965b9d5eebf809837f7e23c68bf6967225462",
+        "checkpoint-final.npz":
+            "f5ccbf7fec5068ef9589e6221bb36c06ec803d687cbe4cc670cdee9f80233d6e",
+        "checkpoint-7.npz":
+            "f8359f15927a3743dee983be928246e2748143ba41b4356932506ec3c5171c86",
+    },
+    "flx-shared": {
+        "metrics.csv":
+            "e160039870022fb1a2d9828d39c511d28f99e9959472980c23abfe6e5a992354",
+        "checkpoint-final.npz":
+            "e04caa54ac414ebf898855700e4881574a17878de0818f609e6b36c3f7c6774c",
+        "checkpoint-7.npz":
+            "08f27c1dab64249720c938e9f650a994b1f18886c77d52b493d08ad620e4a681",
+    },
+}
+
+
+def train_digests(network, out_dir, cfg, names):
+    """Train under ``cfg`` into ``out_dir``; sha256 of each named file."""
+    topo, paths = network
+    result = run_training(
+        cfg.training(), topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
+        j_blocks=cfg.j_blocks, hidden_layers=cfg.hidden_layers,
+        hidden_width=cfg.hidden_width,
+        slot_capacity_gbps=cfg.slot_capacity_gbps,
+        shared_hidden=cfg.share_hidden, stats_window=cfg.stats_window,
+        out_dir=out_dir)
+    assert result.final_epoch == cfg.epochs
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in names}
+
 
 @pytest.fixture(scope="module")
 def network():
@@ -58,16 +119,14 @@ def test_baseline_blocked_counts(network, heuristic):
 
 @pytest.mark.parametrize("mode", sorted(TRAIN_SHA256))
 def test_single_worker_training_artifacts(network, tmp_path, mode):
-    topo, paths = network
     cfg = RunConfig(mode=mode, workers=1, epochs=TRAIN_EPOCHS, seed=0)
-    result = run_training(
-        cfg.training(), topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-        j_blocks=cfg.j_blocks, hidden_layers=cfg.hidden_layers,
-        hidden_width=cfg.hidden_width,
-        slot_capacity_gbps=cfg.slot_capacity_gbps,
-        shared_hidden=cfg.share_hidden, stats_window=cfg.stats_window,
-        out_dir=tmp_path)
-    assert result.final_epoch == TRAIN_EPOCHS
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in TRAIN_SHA256[mode]}
-    assert digests == TRAIN_SHA256[mode]
+    assert train_digests(network, tmp_path, cfg,
+                         TRAIN_SHA256[mode]) == TRAIN_SHA256[mode]
+
+
+@pytest.mark.parametrize("run", sorted(RUN_SHA256))
+def test_lockstep_and_shared_trunk_artifacts(network, tmp_path, run):
+    cfg = RunConfig(epochs=TRAIN_EPOCHS, seed=0,
+                    checkpoint_every=CHECKPOINT_EVERY, **RUN_SETTINGS[run])
+    assert train_digests(network, tmp_path, cfg,
+                         RUN_SHA256[run]) == RUN_SHA256[run]

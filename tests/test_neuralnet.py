@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rmsalab.errors import ContractViolation
-from rmsalab.neuralnet import (Batch, GradientSet, LayerSpec, ParamSet,
-                               adam_apply, backward, entropy, forward_policy,
-                               forward_value, init_params, load_checkpoint,
-                               policy_loss, save_checkpoint, value_loss,
-                               _elu)
+from rmsalab.neuralnet import (Batch, LayerSpec, adam_apply, backward,
+                               entropy, forward_policy, forward_value,
+                               init_params, load_checkpoint, policy_loss,
+                               save_checkpoint, value_loss, _elu)
 
 SPEC = LayerSpec(input_dim=54, hidden_layers=5, hidden_width=128,
                  action_count=5)
@@ -146,7 +145,7 @@ def finite_difference_check(shared, entropy_sign):
     batch = batch_of(rng.normal(size=(6, 6)), rng.integers(0, 4, 6),
                      rng.normal(size=6), rng.normal(size=6))
     grads, _ = backward(params, batch, 0.01, entropy_sign)
-    pairs = params.pair_grads(grads)
+    pairs = zip(params.views(params.flat), params.views(grads))
 
     def total_loss():
         return (policy_loss(params, batch, 0.01, entropy_sign)
@@ -185,7 +184,8 @@ def test_zero_advantage_zero_entropy_gives_zero_policy_gradient():
     batch = batch_of(rng.normal(size=(5, 4)), rng.integers(0, 3, 5),
                      np.zeros(5), rng.normal(size=5))
     grads, _ = backward(params, batch, 0.0)
-    for g in grads.policy_w + grads.policy_b:
+    grad_pw, grad_pb, _, _ = params.layer_views(grads)
+    for g in grad_pw + grad_pb:
         assert np.allclose(g, 0.0)
 
 
@@ -195,7 +195,8 @@ def test_perfectly_fit_value_gives_zero_value_gradient():
     batch = batch_of(np.zeros((4, 4)), [0] * 4, np.zeros(4), [2.0] * 4)
     grads, stats = backward(params, batch, 0.0)
     assert stats.value_loss == 0.0
-    for g in grads.value_w + grads.value_b:
+    _, _, grad_vw, grad_vb = params.layer_views(grads)
+    for g in grad_vw + grad_vb:
         assert np.allclose(g, 0.0)
 
 
@@ -218,10 +219,12 @@ def scalar_params():
 
 
 def zero_grads_like(params):
-    return GradientSet([np.zeros_like(w) for w in params.policy_weights],
-                       [np.zeros_like(b) for b in params.policy_biases],
-                       [np.zeros_like(w) for w in params.value_weights],
-                       [np.zeros_like(b) for b in params.value_biases])
+    return np.zeros_like(params.flat)
+
+
+def policy_weight_grads(params, grads):
+    """The policy-weight views of a gradient vector."""
+    return params.layer_views(grads)[0]
 
 
 def test_adam_zero_gradient_is_noop():
@@ -236,7 +239,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_closed_form():
     params = scalar_params()
     grads = zero_grads_like(params)
-    grads.policy_w[0][0, 0] = 1.0
+    policy_weight_grads(params, grads)[0][0, 0] = 1.0
     adam_apply(params, grads, lr=1e-3)
     expected = -1e-3 * 1.0 / (1.0 + 1e-8)
     assert params.policy_weights[0][0, 0] == pytest.approx(expected)
@@ -245,21 +248,20 @@ def test_adam_first_step_closed_form():
 def test_adam_repeated_updates_not_idempotent():
     params = scalar_params()
     grads = zero_grads_like(params)
-    grads.policy_w[0][0, 0] = 1.0
+    policy_weight_grads(params, grads)[0][0, 0] = 1.0
     adam_apply(params, grads, lr=1e-3)
     first = params.policy_weights[0][0, 0]
-    m_after_first = params.adam_m[0][0, 0]
+    m_after_first = params.views(params.adam_m)[0][0, 0]
     adam_apply(params, grads, lr=1e-3)
     # the second apply keeps moving the parameter and the moments accumulate
     assert params.policy_weights[0][0, 0] < first
-    assert params.adam_m[0][0, 0] != m_after_first
+    assert params.views(params.adam_m)[0][0, 0] != m_after_first
     assert params.adam_step == 2
 
 
 def test_adam_shape_mismatch_rejected():
     params = scalar_params()
-    grads = zero_grads_like(params)
-    grads.policy_w[0] = np.zeros((2, 2))
+    grads = np.zeros(params.flat.size + 1)
     with pytest.raises(ValueError, match="shape"):
         adam_apply(params, grads, lr=1e-3)
 
@@ -280,8 +282,9 @@ def test_parameters_stay_finite_through_many_steps():
 def test_gradient_clipping_rescales_global_norm():
     params = scalar_params()
     grads = zero_grads_like(params)
-    grads.policy_w[0][0, 0] = 3.0
-    grads.policy_w[1][0, 0] = 4.0  # global norm 5
+    grad_pw = policy_weight_grads(params, grads)
+    grad_pw[0][0, 0] = 3.0
+    grad_pw[1][0, 0] = 4.0  # global norm 5
     adam_apply(params, grads, lr=1.0, grad_clip=1.0)
     # post-clip gradients are 0.6 and 0.8; first-step update is -lr * ~1
     assert params.policy_weights[0][0, 0] == pytest.approx(-1.0, rel=1e-6)
@@ -290,7 +293,8 @@ def test_gradient_clipping_rescales_global_norm():
 def test_nonfinite_gradient_raises():
     params = init_params(LayerSpec(3, 1, 4, 2), 0, head_scale=1.0)
     batch = batch_of([[0.0, 0.0, 0.0]], [0], [np.inf], [0.0])
-    with pytest.raises(ContractViolation, match="non-finite"):
+    with pytest.raises(ContractViolation, match="non-finite"), \
+            np.errstate(invalid="ignore"):
         backward(params, batch, 0.0)
 
 
@@ -325,9 +329,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         for a, b in zip(params.policy_weights + params.value_weights,
                         loaded.policy_weights + loaded.value_weights):
             assert np.array_equal(a, b)
-        for a, b in zip(params.adam_m + params.adam_v,
-                        loaded.adam_m + loaded.adam_v):
-            assert np.array_equal(a, b)
+        assert np.array_equal(params.adam_m, loaded.adam_m)
+        assert np.array_equal(params.adam_v, loaded.adam_v)
         if shared:
             for pw, vw in zip(loaded.policy_weights[:-1],
                               loaded.value_weights[:-1]):
@@ -348,11 +351,12 @@ def test_copy_weights_from_syncs_without_touching_adam():
 def test_clone_starts_fresh_adam_state():
     params = scalar_params()
     grads = zero_grads_like(params)
-    grads.policy_w[0][0, 0] = 1.0
+    policy_weight_grads(params, grads)[0][0, 0] = 1.0
     adam_apply(params, grads, lr=1e-3)
-    assert params.adam_step == 1 and params.adam_m[0][0, 0] != 0.0
+    assert (params.adam_step == 1
+            and params.views(params.adam_m)[0][0, 0] != 0.0)
     copy = params.clone()
     assert np.array_equal(copy.policy_weights[0], params.policy_weights[0])
     assert copy.adam_step == 0
-    assert all(not m.any() for m in copy.adam_m)
-    assert all(not v.any() for v in copy.adam_v)
+    assert not copy.adam_m.any()
+    assert not copy.adam_v.any()

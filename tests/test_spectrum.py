@@ -59,34 +59,34 @@ def test_first_fit(n, expected, nsfnet, nsfnet_paths, set_grid):
 
 def test_allocate_removes_block(line, line_spectrum):
     path = _two_link_path(line)
-    line_spectrum.allocate(path, 2, 3, lightpath_id=1, expiry=5.0)
+    line_spectrum.allocate(path, 2, 3, lightpath_id=1)
     assert spans(line_spectrum, path) == [(0, 2), (5, 5)]
 
 
 def test_allocate_shrinks_other_paths_sharing_a_link(line, line_spectrum):
-    line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 4, 1, 1.0)
+    line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 4, 1)
     assert spans(line_spectrum, _two_link_path(line)) == [(4, 6)]
     assert spans(line_spectrum, _one_link_path(line, 1, 2)) == [(0, 10)]
 
 
 def test_double_allocate_same_range_rejected(line, line_spectrum):
     path = _two_link_path(line)
-    line_spectrum.allocate(path, 0, 2, 1, 1.0)
+    line_spectrum.allocate(path, 0, 2, 1)
     with pytest.raises(ContractViolation, match="overlap"):
-        line_spectrum.allocate(path, 0, 2, 2, 1.0)
+        line_spectrum.allocate(path, 0, 2, 2)
 
 
 def test_duplicate_lightpath_id_rejected(line, line_spectrum):
     path = _two_link_path(line)
-    line_spectrum.allocate(path, 0, 2, 1, 1.0)
+    line_spectrum.allocate(path, 0, 2, 1)
     with pytest.raises(ContractViolation, match="already active"):
-        line_spectrum.allocate(path, 5, 2, 1, 1.0)
+        line_spectrum.allocate(path, 5, 2, 1)
 
 
 def test_release_restores_occupancy(line, line_spectrum):
     path = _two_link_path(line)
     before = line_spectrum.dump()
-    line_spectrum.allocate(path, 3, 4, lightpath_id=7, expiry=2.0)
+    line_spectrum.allocate(path, 3, 4, lightpath_id=7)
     assert line_spectrum.dump() != before
     line_spectrum.release(7)
     assert line_spectrum.dump() == before
@@ -103,9 +103,9 @@ def test_release_order_does_not_matter(line, line_spectrum):
     path = _two_link_path(line)
     empty = line_spectrum.dump()
     for order in ((1, 2, 3), (3, 1, 2)):
-        line_spectrum.allocate(path, 0, 2, 1, 1.0)
-        line_spectrum.allocate(path, 2, 2, 2, 1.0)
-        line_spectrum.allocate(path, 4, 2, 3, 1.0)
+        line_spectrum.allocate(path, 0, 2, 1)
+        line_spectrum.allocate(path, 2, 2, 2)
+        line_spectrum.allocate(path, 4, 2, 3)
         for lightpath_id in order:
             line_spectrum.release(lightpath_id)
         assert line_spectrum.dump() == empty
@@ -142,7 +142,7 @@ def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
             start = spectrum.usable_block_start(path, n)
             if start is None:
                 continue
-            spectrum.allocate(path, start, n, next_id, expiry=0.0)
+            spectrum.allocate(path, start, n, next_id)
             active[next_id] = (n, len(path.link_ids))
             next_id += 1
         # occupied slot total always matches the live lightpath records
@@ -245,7 +245,7 @@ def test_block_query_matches_a_slot_scan(line, used, n, j):
         for slot, is_used in enumerate(row):
             if is_used:
                 single = _one_link_path(line, link_id, link_id + 1)
-                spectrum.allocate(single, slot, 1, 100 * link_id + slot, 0.0)
+                spectrum.allocate(single, slot, 1, 100 * link_id + slot)
     # two single-link paths and the two-link path
     for path in (_one_link_path(line, 0, 1), _one_link_path(line, 1, 2),
                  _two_link_path(line)):
@@ -265,7 +265,7 @@ def test_block_query_rejects_bad_demand_and_block_index(nsfnet,
     # a negative index must not read blocks from the end, nor n = 0 fit
     spectrum = NetworkSpectrum(nsfnet)
     path = nsfnet_paths[(0, 5)][0]
-    spectrum.allocate(path, 10, 5, lightpath_id=1, expiry=1.0)
+    spectrum.allocate(path, 10, 5, lightpath_id=1)
     with pytest.raises(ContractViolation, match="block index"):
         spectrum.usable_block_start(path, 2, -1)
     for n in (0, -3):
@@ -278,10 +278,10 @@ def test_block_query_rejects_bad_demand_and_block_index(nsfnet,
 def test_overlapping_allocate_writes_no_link(line, line_spectrum):
     # the conflict is on the path's last link only, so a write before
     # every link is checked would show on the first
-    line_spectrum.allocate(_one_link_path(line, 1, 2), 4, 2, 1, 1.0)
+    line_spectrum.allocate(_one_link_path(line, 1, 2), 4, 2, 1)
     before = line_spectrum.dump()
     with pytest.raises(ContractViolation, match="overlap"):
-        line_spectrum.allocate(_two_link_path(line), 3, 3, 2, 1.0)
+        line_spectrum.allocate(_two_link_path(line), 3, 3, 2)
     assert line_spectrum.dump() == before
     assert line_spectrum.occupied_slot_count() == 2
     with pytest.raises(ContractViolation, match="not active"):
@@ -291,8 +291,8 @@ def test_overlapping_allocate_writes_no_link(line, line_spectrum):
 
 
 def test_dump_is_zero_one_rows(line, line_spectrum):
-    line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 3, 9, 1.0)
+    line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 3, 9)
     rows = line_spectrum.dump().splitlines()
     assert rows == ["1110000000", "0000000000"]
-    line_spectrum.allocate(_two_link_path(line), 5, 2, 10, 1.0)
+    line_spectrum.allocate(_two_link_path(line), 5, 2, 10)
     assert line_spectrum.dump() == "1110011000\n0000011000"
