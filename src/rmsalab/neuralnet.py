@@ -3,12 +3,12 @@
 Both networks are plain ELU stacks of identical shape; the policy head
 emits one logit per action and the value head a single scalar. All
 parameters live in one flat float64 vector, and every weight and bias is
-a reshaped view into it, so a weight sync, a copy and an Adam step are
-each one whole-vector operation. Gradients for the advantage-weighted
-log-likelihood loss (with entropy term) and the mean-squared value loss
-are computed analytically for this fixed architecture into a vector laid
-out like the parameters, and parameters are updated with bias-corrected
-Adam. All math is double precision.
+a reshaped view into it, so a weight sync or a copy is one whole-vector
+operation and Adam one update rule over the flat vectors. Gradients for
+the advantage-weighted log-likelihood loss (with entropy term) and the
+mean-squared value loss are computed analytically for this fixed
+architecture into a vector laid out like the parameters, and parameters
+are updated with bias-corrected Adam. All math is double precision.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ CHECKPOINT_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 14  # elements; one block of Adam's four vectors fits L2
 
 
 @dataclass(frozen=True)
@@ -344,13 +345,16 @@ def adam_apply(params: ParamSet, grads: np.ndarray, lr: float,
     t = params.adam_step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    m = params.adam_m
-    v = params.adam_v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * (grads * grads)
-    params.flat -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    # walked block by block: single passes over the whole vectors measured
+    # slower, as each operation streams all of them through memory again
+    edges = range(ADAM_BLOCK, grads.size, ADAM_BLOCK)
+    for p, g, m, v in zip(*(np.split(x, edges) for x in (
+            params.flat, grads, params.adam_m, params.adam_v))):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     if not np.isfinite(params.flat).all():
         raise ContractViolation(f"non-finite parameter after Adam step {t}")
 
