@@ -63,6 +63,10 @@ class RunConfig:
             if not ok:
                 raise ConfigError(f"{field_name}: {message}")
 
+        for f in fields(self):
+            if f.type in ("float", float):
+                require(math.isfinite(getattr(self, f.name)), f.name,
+                        "must be finite")
         require(self.slot_count >= 1, "slot_count", "must be >= 1")
         require(self.k_paths >= 1, "k_paths", "must be >= 1")
         require(self.j_blocks >= 1, "j_blocks", "must be >= 1")

@@ -228,10 +228,20 @@ def forward_policy(params: ParamSet, state: np.ndarray) -> np.ndarray:
     return _softmax(logits)
 
 
-def forward_value(params: ParamSet, state: np.ndarray) -> float:
-    """Scalar value estimate for one state (linear, unbounded)."""
-    _check_input(params.spec, state)
-    return float(_forward(params.value_weights, params.value_biases, state)[..., 0])
+def forward_value(params: ParamSet, states: np.ndarray) -> float | np.ndarray:
+    """Value estimate (linear, unbounded): a ``float`` for one 1-D state,
+    an ``(n,)`` array for an ``(n, d)`` row stack.
+
+    The stack runs as ``n`` separate 1 x d products, so each entry has the
+    bits of the same row's single-state call; one ``(n, d)`` matrix product
+    would round differently.
+    """
+    _check_input(params.spec, states)
+    if states.ndim == 1:
+        return float(_forward(params.value_weights, params.value_biases,
+                              states)[0])
+    return _forward(params.value_weights, params.value_biases,
+                    states[:, None, :])[:, 0, 0]
 
 
 def _plogp(probs: np.ndarray) -> np.ndarray:

@@ -25,6 +25,20 @@ buffer has the same length after each round, so for N >= 2 all actors
 refresh in the same round, and no gradient is applied in a round that
 refreshes. For N = 1 each actor refreshes just before it acts and trains,
 after the previous actor's update.
+
+The critic's value estimate enters only the advantages of a trained
+batch, so a sample is buffered without one. When a buffer reaches its
+trigger, every sample still without a value gets one from a single
+stacked ``forward_value`` call on the behaviour snapshot, before the
+batch trains. A value must come from the snapshot its sample acted with,
+and this rule gives exactly that: the snapshot changes only at a refresh,
+and in steady state the samples without a value at a trigger are exactly
+those acted since the last refresh. The one exception is the ``flx``
+warm-up, where the refresh at N - 1 samples finds them all without a
+value; no gradient has been applied yet, so that refresh rewrites the
+same bits. A refresh that finds a sample without a value after the first
+gradient application raises ``ContractViolation``; the lockstep schedule
+never does this.
 """
 
 from __future__ import annotations
@@ -37,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import RmsaEnv
+from .errors import ContractViolation
 from .features import StateEncoder
 from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
                         forward_policy, forward_value, init_params,
@@ -70,12 +85,13 @@ class TrainingConfig:
 
 @dataclass(slots=True)
 class ExperienceSample:
-    """One decision: state, chosen action, value estimate, and reward."""
+    """One decision: state, chosen action, reward, and the value estimate,
+    which stays ``None`` until the buffer reaches its trigger."""
 
     state: np.ndarray
     action: int
-    value: float
     reward: float
+    value: float | None = None
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -121,7 +137,7 @@ def roulette_select(probs, rng: np.random.Generator) -> int:
     falls back to the last action."""
     p = np.asarray(probs)
     total = float(p.sum())
-    if abs(total - 1.0) > 1e-6:
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails this test too
         raise ValueError(f"probabilities sum to {total}, not 1")
     draw = rng.random()
     idx = int(np.searchsorted(np.cumsum(p), draw, side="left"))
@@ -223,25 +239,35 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
     """Serve one request for ``actor`` under a return rule.
 
     The behaviour snapshot is refreshed when the buffer holds 0 or
-    ``trigger - N`` samples; once it holds ``trigger`` samples,
-    ``returns_fn(rewards, gamma)`` gives the returns of the first N,
+    ``trigger - N`` samples; once it holds ``trigger`` samples, the
+    samples without a value estimate get one in a single stacked pass,
+    and ``returns_fn(rewards, gamma)`` gives the returns of the first N,
     which are trained on and dropped.
     """
     cfg = ctx.cfg
     n = cfg.batch_size
     buffer = actor.buffer
     if len(buffer) in (0, trigger - n):
+        if ctx.store.epoch > 0 and any(smp.value is None for smp in buffer):
+            raise ContractViolation(
+                f"worker {actor.worker_id}: refresh at epoch "
+                f"{ctx.store.epoch} finds samples not yet valued under the "
+                "snapshot they acted with")
         ctx.store.sync_into(ctx.behaviour)
     env = actor.env
     req = env.arrive()
     state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
                                episode_pos=episode_pos)
     probs = forward_policy(ctx.behaviour, state)
-    value = forward_value(ctx.behaviour, state)
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
-    buffer.append(ExperienceSample(state, action, value, outcome.reward))
+    buffer.append(ExperienceSample(state, action, outcome.reward))
     if len(buffer) == trigger:
+        pending = [smp for smp in buffer if smp.value is None]
+        values = forward_value(ctx.behaviour,
+                               np.stack([smp.state for smp in pending]))
+        for smp, value in zip(pending, values.tolist()):
+            smp.value = value
         rewards = np.array([smp.reward for smp in buffer])
         _train_batch(actor, ctx, buffer[:n], returns_fn(rewards, cfg.gamma))
         del buffer[:n]

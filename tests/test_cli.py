@@ -65,6 +65,14 @@ def test_validation_messages_name_fields():
         parse_config("mean_duration = -1\n")
     with pytest.raises(ConfigError, match="bandwidth_min"):
         parse_config("bandwidth_min = 50\nbandwidth_max = 25\n")
+    # every float setting must be finite: inf would pass the range checks
+    for name in ("arrival_rate", "mean_duration", "bandwidth_min",
+                 "bandwidth_max", "gamma", "entropy_weight", "learning_rate",
+                 "reach_16qam", "reach_8qam", "reach_qpsk",
+                 "slot_capacity_gbps", "grad_clip"):
+        for value in ("inf", "nan"):
+            with pytest.raises(ConfigError, match=f"{name}: must be finite"):
+                parse_config(f"{name} = {value}\n")
     # the derived pieces validate the config they come from
     with pytest.raises(ConfigError, match="mean_duration"):
         RunConfig(mean_duration=-1.0).traffic()

@@ -66,6 +66,21 @@ def test_zero_weights_give_uniform_policy_and_zero_value():
     assert forward_value(params, state) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 50])
+@pytest.mark.parametrize("width", [16, 128])
+@pytest.mark.parametrize("shared", [False, True])
+def test_value_row_stack_matches_single_states(shared, width, n):
+    params = init_params(LayerSpec(54, 5, width, 5), 11,
+                         shared_hidden=shared, head_scale=1.0)
+    states = np.random.default_rng(width + n).uniform(0, 1, size=(n, 54))
+    single = [forward_value(params, state) for state in states]
+    assert all(type(value) is float for value in single)
+    stacked = forward_value(params, states)
+    assert stacked.shape == (n,)
+    # bit-for-bit: the trainer values a batch in one stacked call
+    assert np.array_equal(stacked, np.array(single))
+
+
 def test_elu_definition():
     assert _elu(np.array([-math.log(2.0)]))[0] == pytest.approx(-0.5)
     assert _elu(np.array([3.0]))[0] == 3.0

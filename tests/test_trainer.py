@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import rmsalab.trainer as trainer_mod
 from rmsalab.config import RunConfig
+from rmsalab.errors import ContractViolation
 from rmsalab.features import StateEncoder
-from rmsalab.neuralnet import LayerSpec, forward_policy, init_params, load_checkpoint
+from rmsalab.neuralnet import (LayerSpec, forward_policy, forward_value,
+                               init_params, load_checkpoint)
 from rmsalab.trainer import (advantages, discounted_returns, roulette_select,
                              run_training, sliding_window_returns)
 
@@ -103,6 +105,12 @@ def test_roulette_rejects_unnormalized():
         roulette_select([0.5, 0.4], FixedDraw(0.1))
 
 
+@pytest.mark.parametrize("probs", [[math.nan, 0.5, 0.5], [math.nan] * 5])
+def test_roulette_rejects_nan(probs):
+    with pytest.raises(ValueError, match="sum"):
+        roulette_select(probs, FixedDraw(0.1))
+
+
 def test_roulette_empirical_distribution():
     probs = np.array([0.2, 0.3, 0.5])
     rng = np.random.default_rng(314)
@@ -187,6 +195,79 @@ def test_syncs_only_at_rule_sync_points(nsfnet, nsfnet_paths, tmp_path,
     # ep resyncs at each episode start; flx also when N - 1 samples remain
     expected = {"ep": [0, 1, 2], "flx": [0, 0, 1, 2]}[mode]
     assert syncs == expected
+
+
+@pytest.mark.parametrize("mode, workers, batch_size",
+                         [("flx", 2, 5), ("ep", 3, 1), ("ep", 1, 5)])
+def test_acting_and_values_use_the_last_synced_snapshot(
+        nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, workers,
+        batch_size):
+    # the global parameters cloned at each sync, and per worker the states
+    # acted on, in order, each with the clone in force when it acted
+    now = {}
+    acted = {}
+    counts = {"probs": 0, "values": 0}
+    real_sync = trainer_mod.ParamStore.sync_into
+    real_step = trainer_mod.actor_step
+    real_encode = StateEncoder.encode
+    real_roulette = trainer_mod.roulette_select
+    real_advantages = trainer_mod.advantages
+
+    def sync_into(self, behaviour):
+        real_sync(self, behaviour)
+        now["params"] = self.params.clone()
+
+    def actor_step(actor, ctx, *args):
+        now["worker"] = actor.worker_id
+        real_step(actor, ctx, *args)
+
+    def encode(self, *args, **kwargs):
+        state = real_encode(self, *args, **kwargs)
+        acted.setdefault(now["worker"], []).append((state, now["params"]))
+        return state
+
+    def roulette_select(probs, rng):
+        state, params = acted[now["worker"]][-1]
+        assert np.array_equal(probs, forward_policy(params, state))
+        counts["probs"] += 1
+        return real_roulette(probs, rng)
+
+    def advantages(returns, values):
+        queue = acted[now["worker"]]
+        assert len(values) == batch_size
+        for value, (state, params) in zip(values, queue):
+            assert value == forward_value(params, state)
+        del queue[:batch_size]
+        counts["values"] += batch_size
+        return real_advantages(returns, values)
+
+    monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
+    monkeypatch.setattr(trainer_mod, "actor_step", actor_step)
+    monkeypatch.setattr(StateEncoder, "encode", encode)
+    monkeypatch.setattr(trainer_mod, "roulette_select", roulette_select)
+    monkeypatch.setattr(trainer_mod, "advantages", advantages)
+    result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=8,
+                       batch_size=batch_size, workers=workers)
+    assert counts == {"probs": result.total_requests,
+                      "values": 8 * batch_size}
+
+
+def test_refresh_rejects_unvalued_samples_after_an_apply(
+        nsfnet, nsfnet_paths, tmp_path, monkeypatch):
+    real_step = trainer_mod.actor_step
+
+    def step(actor, ctx, *args):
+        real_step(actor, ctx, *args)
+        if ctx.store.epoch and actor.buffer:
+            actor.buffer[-1].value = None  # carried across the next refresh
+
+    monkeypatch.setattr(trainer_mod, "actor_step", step)
+    # the flx warm-up refresh at N - 1 unvalued samples precedes any apply
+    # and passes; the refresh after the first apply must not
+    with pytest.raises(RuntimeError, match="not yet valued") as info:
+        small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=3)
+    assert isinstance(info.value.__cause__, ContractViolation)
+    assert len(read_metrics(tmp_path / "metrics.csv")) == 1
 
 
 def test_entropy_column_within_bounds(nsfnet, nsfnet_paths, tmp_path):
