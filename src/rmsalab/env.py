@@ -5,6 +5,11 @@ A request is serviced or blocked immediately on arrival. Acceptance earns
 reward +1, anything else -1, and an infeasible choice never falls back to
 a different path. Shortest-path and K-shortest-path first-fit heuristics
 share the same machinery and serve as baselines.
+
+Every decision returns a new ``ProvisionOutcome``. It is a slotted, not a
+frozen, dataclass: a frozen ``__init__`` writes each field through
+``object.__setattr__``, which costs about three times as much per
+request, while ``dataclasses.replace`` and field access stay as they were.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .topology import CandidatePath, Topology, required_slots
 from .traffic import DepartureQueue, Request, RequestStream, TrafficConfig
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProvisionOutcome:
     """Result of one provisioning decision."""
 

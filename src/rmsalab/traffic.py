@@ -1,16 +1,24 @@
 """Dynamic lightpath demand: Poisson arrivals, uniform endpoints and
-bandwidths, exponential holding times, and the departure event queue."""
+bandwidths, exponential holding times, and the departure event queue.
+
+A ``Request`` is built for every arrival, so it is a ``NamedTuple``:
+immutable like a frozen dataclass, with the same fields, order and
+keywords, but built without a per-field ``object.__setattr__``. Each
+request takes five draws from its stream's generator in a fixed order
+(see ``next_request``); changing a draw or the order changes every
+seeded result.
+"""
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One lightpath demand."""
 
     id: int
@@ -45,7 +53,11 @@ def next_request(rng: np.random.Generator, cfg: TrafficConfig, node_count: int,
     dst = int(rng.integers(node_count - 1))
     if dst >= src:
         dst += 1
-    bandwidth = float(rng.uniform(cfg.bandwidth_min, cfg.bandwidth_max))
+    # Generator.uniform(low, high) returns exactly low + (high - low) *
+    # random() from the same single draw; spelled out, it skips uniform's
+    # argument handling, which costs more than the draw itself.
+    bandwidth = (cfg.bandwidth_min
+                 + (cfg.bandwidth_max - cfg.bandwidth_min) * rng.random())
     duration = float(rng.exponential(cfg.mean_duration))
     return Request(request_id, src, dst, bandwidth, duration, arrival)
 

@@ -43,9 +43,11 @@ never does this.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -134,14 +136,20 @@ def advantages(returns, values) -> np.ndarray:
 def roulette_select(probs, rng: np.random.Generator) -> int:
     """Sample an action index: first index whose cumulative probability
     reaches a uniform draw. Floating-point shortfall at the top end
-    falls back to the last action."""
-    p = np.asarray(probs)
-    total = float(p.sum())
+    falls back to the last action.
+
+    The running sum is built over Python floats, one addition per entry
+    in index order, exactly as ``np.cumsum`` adds, so it picks the index
+    ``np.searchsorted(np.cumsum(p), draw)`` picks, and the sum check
+    reads its last entry; on a vector of K x J entries numpy's fixed
+    per-call cost would dominate.
+    """
+    cumulative = list(accumulate(np.asarray(probs).tolist()))
+    total = cumulative[-1] if cumulative else 0.0
     if not abs(total - 1.0) <= 1e-6:  # NaN fails this test too
         raise ValueError(f"probabilities sum to {total}, not 1")
-    draw = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), draw, side="left"))
-    return min(idx, p.size - 1)
+    idx = bisect_left(cumulative, rng.random())
+    return min(idx, len(cumulative) - 1)
 
 
 class MetricsWriter:

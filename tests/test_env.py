@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ def test_step_accepts_on_empty_grid(nsf_env):
     assert out.n_slots == required_slots(
         100.0, nsf_env.candidate_paths(req)[0].modulation, SLOT_GBPS)
     assert len(nsf_env.departures) == 1
+
+
+def test_outcome_is_a_slotted_dataclass(nsf_env):
+    out = nsf_env.step(fixed_request(), action=0)
+    # perfbench's shadow-grid test forges a wrong placement this way
+    moved = dataclasses.replace(out, start_slot=out.start_slot + 1)
+    assert (moved.accepted, moved.path_index, moved.start_slot,
+            moved.n_slots, moved.reward) == (
+        out.accepted, out.path_index, out.start_slot + 1, out.n_slots,
+        out.reward)
+    # one outcome is built per request; slots keep that cheap
+    assert not hasattr(out, "__dict__")
 
 
 def test_departure_scheduled_at_arrival_plus_duration(nsf_env):

@@ -3,7 +3,8 @@ import pytest
 
 from rmsalab.config import RunConfig
 from rmsalab.errors import ConfigError
-from rmsalab.traffic import DepartureQueue, RequestStream, next_request
+from rmsalab.traffic import (DepartureQueue, Request, RequestStream,
+                             next_request)
 
 
 def make_stream(seed, arrival_rate=10.0, mean_duration=15.0, nodes=14):
@@ -74,6 +75,53 @@ def test_next_request_uses_now_offset():
     req = next_request(rng, cfg, 5, now=100.0, request_id=3)
     assert req.arrival_time > 100.0
     assert req.id == 3
+
+
+def reference_stream(cfg, nodes, rng, count):
+    """The demand stream drawn one numpy call per quantity, with the
+    bandwidth through ``rng.uniform``."""
+    now = 0.0
+    requests = []
+    for request_id in range(count):
+        arrival = now + rng.exponential(1.0 / cfg.arrival_rate)
+        src = int(rng.integers(nodes))
+        dst = int(rng.integers(nodes - 1))
+        if dst >= src:
+            dst += 1
+        bandwidth = float(rng.uniform(cfg.bandwidth_min, cfg.bandwidth_max))
+        duration = float(rng.exponential(cfg.mean_duration))
+        requests.append((request_id, src, dst, bandwidth, duration, arrival))
+        now = arrival
+    return requests
+
+
+@pytest.mark.parametrize("seed,bandwidth_range",
+                         [(0, (25.0, 100.0)), (7919, (10.0, 400.0)),
+                          (2024, (40.0, 40.0))])
+def test_stream_matches_one_call_per_draw_reference(seed, bandwidth_range):
+    cfg = RunConfig(bandwidth_min=bandwidth_range[0],
+                    bandwidth_max=bandwidth_range[1]).traffic()
+    nodes = 14
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    stream = RequestStream(cfg, nodes, rng)
+    fields = ("id", "src", "dst", "bandwidth_gbps", "duration",
+              "arrival_time")
+    for expected in reference_stream(cfg, nodes, ref_rng, 10_000):
+        req = stream.next()
+        got = tuple(getattr(req, name) for name in fields)
+        assert got == expected
+        assert list(map(type, got)) == list(map(type, expected))
+    # the same draws consumed: a later caller of the rng sees no change
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_request_is_immutable():
+    req = Request(0, src=1, dst=2, bandwidth_gbps=50.0, duration=3.0,
+                  arrival_time=4.0)
+    with pytest.raises(AttributeError):
+        req.src = 5
+    assert req.src == 1
 
 
 # --- departure queue ------------------------------------------------------

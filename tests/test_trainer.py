@@ -125,6 +125,25 @@ def test_roulette_empirical_distribution():
             np.searchsorted(np.cumsum(probs), value, side="left"))
 
 
+def test_roulette_matches_cumsum_rule_beyond_eight_actions():
+    # K = 5 paths x J = 3 blocks; numpy's sum turns pairwise from 8
+    # entries, so the running sum must follow cumsum, not sum
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        logits = rng.normal(scale=3.0, size=15)
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        cumulative = np.cumsum(probs)
+        draws = list(rng.random(20)) + [0.0]
+        for edge in cumulative:
+            draws += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+        assert draws[-1] > cumulative[-1]  # above the top: the last action
+        for value in draws:
+            expected = min(int(np.searchsorted(cumulative, value,
+                                               side="left")), 14)
+            assert roulette_select(probs, FixedDraw(float(value))) == expected
+
+
 # --- lockstep training loop -------------------------------------------------
 
 
