@@ -6,7 +6,8 @@ training), ``summarize`` (comparison table over metrics files). All
 artifacts land under ``--out``: ``metrics.csv``, ``checkpoint-<epoch>``
 files for training runs, and ``summary.txt``.
 
-Exit codes: 0 success, 1 configuration problem, 2 runtime failure.
+Exit codes: 0 success, 1 configuration problem (including a missing or
+malformed topology), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -21,19 +22,8 @@ import numpy as np
 from .config import BASELINE_MODES, LEARNING_MODES, RunConfig, load_config
 from .env import RmsaEnv
 from .errors import ConfigError
-from .features import StateEncoder
 from .neuralnet import forward_policy, load_checkpoint
-from .topology import precompute_paths
-from .trainer import METRICS_COLUMNS, MetricsWriter, run_training
-
-
-def _build_env(cfg: RunConfig, seed: int) -> RmsaEnv:
-    topo = cfg.load_topology()
-    paths = precompute_paths(topo, cfg.k_paths, cfg.reach_table())
-    return RmsaEnv(topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-                   j_blocks=cfg.j_blocks, seed=seed,
-                   slot_capacity_gbps=cfg.slot_capacity_gbps,
-                   stats_window=cfg.stats_window)
+from .trainer import METRICS_COLUMNS, MetricsWriter
 
 
 def _write_summary(out_dir: Path, entries: dict) -> Path:
@@ -42,16 +32,16 @@ def _write_summary(out_dir: Path, entries: dict) -> Path:
     return path
 
 
-def _simulate(cfg: RunConfig, out_dir: Path, decide, label: str) -> dict:
+def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
+              label: str) -> dict:
     """Drive one request-at-a-time run, logging one row per 1000 requests."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    env = _build_env(cfg, cfg.seed)
     metrics = MetricsWriter(out_dir / "metrics.csv")
     window = cfg.metrics_window
     try:
         for i in range(1, cfg.num_requests + 1):
             req = env.arrive()
-            decide(env, req)
+            decide(req)
             if i % 1000 == 0:
                 metrics.write_row(
                     i // 1000, 0, env.stats.total, env.stats.blocked,
@@ -80,15 +70,7 @@ def _simulate(cfg: RunConfig, out_dir: Path, decide, label: str) -> dict:
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.used").write_text(cfg.to_text())
-    topo = cfg.load_topology()
-    paths = precompute_paths(topo, cfg.k_paths, cfg.reach_table())
-    result = run_training(
-        cfg.training(), topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-        j_blocks=cfg.j_blocks, hidden_layers=cfg.hidden_layers,
-        hidden_width=cfg.hidden_width,
-        slot_capacity_gbps=cfg.slot_capacity_gbps,
-        shared_hidden=cfg.share_hidden, stats_window=cfg.stats_window,
-        out_dir=out_dir, progress=True)
+    result = cfg.train(*cfg.network(), out_dir=out_dir, progress=True)
     _write_summary(out_dir, {
         "run": "train",
         "mode": cfg.mode,
@@ -107,11 +89,9 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.mode == "spff":
-        _simulate(cfg, out_dir, lambda env, req: env.sp_ff(req), "baseline-spff")
-    else:
-        _simulate(cfg, out_dir, lambda env, req: env.ksp_ff(req),
-                  "baseline-kspff")
+    env = cfg.env(*cfg.network())
+    decide = env.sp_ff if cfg.mode == "spff" else env.ksp_ff
+    _simulate(cfg, env, out_dir, decide, f"baseline-{cfg.mode}")
     return 0
 
 
@@ -124,11 +104,8 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}"
                           ) from None
-    topo = cfg.load_topology()
-    encoder = StateEncoder(topo, k_paths=cfg.k_paths, j_blocks=cfg.j_blocks,
-                           mode=cfg.mode, mean_duration=cfg.mean_duration,
-                           slot_capacity_gbps=cfg.slot_capacity_gbps,
-                           bandwidth_max_gbps=cfg.bandwidth_max)
+    topo, paths = cfg.network()
+    encoder = cfg.encoder(topo)
     if encoder.length != params.spec.input_dim:
         raise ConfigError(
             f"checkpoint: input width {params.spec.input_dim} does not match "
@@ -138,10 +115,11 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             f"checkpoint: action count {params.spec.action_count} does not "
             f"match k_paths * j_blocks = {cfg.k_paths * cfg.j_blocks}")
 
+    env = cfg.env(topo, paths)
     count = 0
     batch_n = cfg.batch_size
 
-    def decide(env: RmsaEnv, req) -> None:
+    def decide(req) -> None:
         # greedy action selection; in episode mode cycle the position
         # indicator the way training would see it
         nonlocal count
@@ -152,7 +130,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
         action = int(np.argmax(forward_policy(params, state)))
         env.step(req, action)
 
-    _simulate(cfg, out_dir, decide, "eval")
+    _simulate(cfg, env, out_dir, decide, "eval")
     return 0
 
 

@@ -5,7 +5,12 @@ run setting has a default or is validated: every setting defaults to the
 reference experiment's value, so an empty file is a valid NSFNET
 training config, and the traffic, training, reach-table and topology
 pieces the rest of the package takes are derived from a validated
-``RunConfig``. Lines are ``key = value``; ``#`` starts a comment.
+``RunConfig``. It is also the one place that maps settings to the run's
+objects: ``network()`` builds the topology and candidate-path table,
+``env()`` the provisioning environment, ``encoder()`` the state encoder
+and ``train()`` the training call, so every experiment built from one
+config sees the same keywords. Lines are ``key = value``; ``#`` starts a
+comment.
 """
 
 from __future__ import annotations
@@ -14,10 +19,12 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
-from .topology import load_topology
+from .env import RmsaEnv
+from .errors import ConfigError, TopologyError
+from .features import StateEncoder
+from .topology import Topology, load_topology, precompute_paths
 from .traffic import TrafficConfig
-from .trainer import TrainingConfig
+from .trainer import TrainingConfig, TrainingResult, run_training
 
 LEARNING_MODES = ("ep", "flx")
 BASELINE_MODES = ("spff", "kspff")
@@ -126,8 +133,48 @@ class RunConfig:
             grad_clip=self.grad_clip, checkpoint_every=self.checkpoint_every,
             metrics_window=self.metrics_window)
 
-    def load_topology(self):
-        return load_topology(self.topology, self.slot_count)
+    def load_topology(self) -> Topology:
+        """The configured topology; one that is missing or malformed is a
+        configuration problem."""
+        try:
+            return load_topology(self.topology, self.slot_count)
+        except TopologyError as exc:
+            raise ConfigError(f"topology: {exc}") from None
+
+    # ---- run objects ---------------------------------------------------
+
+    def network(self) -> tuple[Topology, dict]:
+        """The topology and its K-shortest candidate-path table, which every
+        env, encoder and training call of one run shares."""
+        topology = self.load_topology()
+        return topology, precompute_paths(topology, self.k_paths,
+                                          self.reach_table())
+
+    def env(self, topology: Topology, paths) -> RmsaEnv:
+        """A provisioning environment drawing its demands from ``seed``."""
+        return RmsaEnv(topology, paths, self.traffic(), k_paths=self.k_paths,
+                       j_blocks=self.j_blocks, seed=self.seed,
+                       slot_capacity_gbps=self.slot_capacity_gbps,
+                       stats_window=self.stats_window)
+
+    def encoder(self, topology: Topology) -> StateEncoder:
+        return StateEncoder(topology, k_paths=self.k_paths,
+                            j_blocks=self.j_blocks, mode=self.mode,
+                            mean_duration=self.mean_duration,
+                            slot_capacity_gbps=self.slot_capacity_gbps,
+                            bandwidth_max_gbps=self.bandwidth_max)
+
+    def train(self, topology: Topology, paths,
+              out_dir: str | Path | None = None,
+              progress: bool = False) -> TrainingResult:
+        """One ``run_training`` call on this config's settings."""
+        return run_training(
+            self.training(), topology, paths, self.traffic(),
+            k_paths=self.k_paths, j_blocks=self.j_blocks,
+            hidden_layers=self.hidden_layers, hidden_width=self.hidden_width,
+            slot_capacity_gbps=self.slot_capacity_gbps,
+            shared_hidden=self.share_hidden, stats_window=self.stats_window,
+            out_dir=out_dir, progress=progress)
 
     # ---- file format ---------------------------------------------------
 

@@ -48,7 +48,6 @@ class StateEncoder:
         self.slot_count = topology.slot_count
         self.k_paths = k_paths
         self.j_blocks = j_blocks
-        self.mode = mode
         self.with_position = mode == "ep"
         self.tau_scale = 2.0 * mean_duration
         self.slot_capacity_gbps = slot_capacity_gbps

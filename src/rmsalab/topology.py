@@ -60,6 +60,8 @@ class Topology:
             adj[ln.a].append((ln.id, ln.b, ln.length_km))
             adj[ln.b].append((ln.id, ln.a, ln.length_km))
         self.adjacency = tuple(tuple(sorted(rows)) for rows in adj)
+        if not self._connected():
+            raise TopologyError("graph is not connected")
 
     @property
     def nodes(self) -> range:
@@ -92,19 +94,13 @@ class Topology:
                 raise TopologyError(
                     f"duplicate link between nodes {pair[0]} and {pair[1]}")
             seen_pairs.add(pair)
-        if not self._connected():
-            raise TopologyError("graph is not connected")
 
     def _connected(self) -> bool:
         reached = {0}
         frontier = [0]
-        adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for ln in self.links:
-            adj[ln.a].append(ln.b)
-            adj[ln.b].append(ln.a)
         while frontier:
             node = frontier.pop()
-            for nbr in adj[node]:
+            for _, nbr, _ in self.adjacency[node]:
                 if nbr not in reached:
                     reached.add(nbr)
                     frontier.append(nbr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rmsalab.config import RunConfig
-from rmsalab.topology import Topology, Link, precompute_paths
+from rmsalab.topology import Topology, Link
 
 TRIANGLE_TEXT = """\
 nodes 3
@@ -26,13 +26,19 @@ def line():
 
 
 @pytest.fixture(scope="session")
-def nsfnet():
-    return RunConfig().load_topology()
+def nsfnet_network():
+    """The default config's (topology, candidate-path table)."""
+    return RunConfig().network()
 
 
 @pytest.fixture(scope="session")
-def nsfnet_paths(nsfnet):
-    return precompute_paths(nsfnet, 5, RunConfig().reach_table())
+def nsfnet(nsfnet_network):
+    return nsfnet_network[0]
+
+
+@pytest.fixture(scope="session")
+def nsfnet_paths(nsfnet_network):
+    return nsfnet_network[1]
 
 
 def _set_grid(spectrum, occupied, free=()):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rmsalab.topology as topology_mod
 from rmsalab.cli import main
 from rmsalab.config import RunConfig, load_config, parse_config
 from rmsalab.errors import ConfigError
@@ -225,3 +226,48 @@ def test_wrong_mode_for_subcommand(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
     assert "config" in capsys.readouterr().err
+
+
+
+def test_unknown_topology_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="ep", topology="nsfnett")
+    assert run_cli("train", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "t")) == 1
+    assert ("config error: topology: cannot read topology file nsfnett"
+            in capsys.readouterr().err)
+
+
+def test_malformed_topology_is_a_config_error(tmp_path, capsys):
+    topo_path = tmp_path / "broken.topo"
+    topo_path.write_text("nodes 3\nlink 0 0 1 far\n")
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", topology=str(topo_path))
+    assert run_cli("baseline", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "b")) == 1
+    err = capsys.readouterr().err
+    assert "config error: topology:" in err
+    assert "malformed link fields" in err
+
+
+def test_eval_builds_the_network_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="flx", epochs=1, batch_size=5, workers=1,
+                 hidden_layers=2, hidden_width=8, num_requests=100,
+                 stats_window=100, metrics_window=100)
+    out = tmp_path / "train"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+    nodes = RunConfig().load_topology().num_nodes
+    calls = {"parse_topology": 0, "k_shortest_paths": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(topology_mod, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(topology_mod, name, counted)
+    assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                   str(out / "checkpoint-final.npz"), "--out",
+                   str(tmp_path / "eval")) == 0
+    # one parse, and one K-shortest search per ordered node pair
+    assert calls == {"parse_topology": 1,
+                     "k_shortest_paths": nodes * (nodes - 1)}

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rmsalab.config import RunConfig
-from rmsalab.env import BlockingStats, RmsaEnv
-from rmsalab.features import StateEncoder
+from rmsalab.env import BlockingStats
 from rmsalab.topology import precompute_paths, required_slots
 from rmsalab.traffic import Request
 
@@ -14,11 +13,8 @@ SLOT_GBPS = RunConfig().slot_capacity_gbps
 
 
 def make_env(topo, paths, seed=0, k_paths=5, j_blocks=1):
-    cfg = RunConfig(k_paths=k_paths, j_blocks=j_blocks, seed=seed)
-    return RmsaEnv(topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-                   j_blocks=cfg.j_blocks, seed=cfg.seed,
-                   slot_capacity_gbps=cfg.slot_capacity_gbps,
-                   stats_window=cfg.stats_window)
+    return RunConfig(k_paths=k_paths, j_blocks=j_blocks,
+                     seed=seed).env(topo, paths)
 
 
 @pytest.fixture
@@ -188,11 +184,7 @@ def test_step_matches_single_path_first_fit(nsfnet, nsfnet_paths, set_grid,
 def test_allocate_and_release_refresh_the_shared_view(nsf_env):
     # encode and step read the grid through one block query; a change
     # through allocate or release must show in the next encode and step
-    cfg = RunConfig()
-    encoder = StateEncoder(nsf_env.topology, k_paths=5, j_blocks=1,
-                           mode="flx", mean_duration=cfg.mean_duration,
-                           slot_capacity_gbps=cfg.slot_capacity_gbps,
-                           bandwidth_max_gbps=cfg.bandwidth_max)
+    encoder = RunConfig().encoder(nsf_env.topology)
     spectrum = nsf_env.spectrum
     req = fixed_request()
     paths = nsf_env.candidate_paths(req)

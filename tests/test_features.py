@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsalab.config import RunConfig
-from rmsalab.features import MISSING_BLOCK, StateEncoder, state_length
+from rmsalab.features import MISSING_BLOCK, state_length
 from rmsalab.spectrum import NetworkSpectrum
 from rmsalab.topology import Link, Topology, precompute_paths, required_slots
 from rmsalab.traffic import Request
@@ -13,11 +13,8 @@ SLOT_GBPS = RunConfig().slot_capacity_gbps
 
 
 def make_encoder(topo, mode="flx", k_paths=5, j_blocks=1):
-    cfg = RunConfig()
-    return StateEncoder(topo, k_paths=k_paths, j_blocks=j_blocks, mode=mode,
-                        mean_duration=cfg.mean_duration,
-                        slot_capacity_gbps=cfg.slot_capacity_gbps,
-                        bandwidth_max_gbps=cfg.bandwidth_max)
+    return RunConfig(mode=mode, k_paths=k_paths,
+                     j_blocks=j_blocks).encoder(topo)
 
 
 def test_state_length_formula(nsfnet):

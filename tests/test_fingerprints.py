@@ -5,7 +5,11 @@ behaviour, and has to say why. Besides the single-worker runs, the pins
 cover the lockstep schedule across several actors (2 and 16 workers; 3
 workers with N = 1, where each actor syncs after the previous actor's
 apply in the same round) and the shared hidden trunk, whose two nets'
-gradients sum into one array. The training hashes pin bit-exact float
+gradients sum into one array. The CLI pins cover the path from a config
+file to the artifacts ``rmsalab`` writes: both baselines, a tiny
+episode-mode training run and a greedy eval of its checkpoint, on
+settings away from the defaults so that a setting passed to the wrong
+place changes a hash. The training hashes pin bit-exact float
 arithmetic, so a numpy or BLAS build that rounds differently can change
 them without any change to this package.
 """
@@ -14,10 +18,8 @@ import hashlib
 
 import pytest
 
+from rmsalab.cli import main
 from rmsalab.config import RunConfig
-from rmsalab.env import RmsaEnv
-from rmsalab.topology import precompute_paths
-from rmsalab.trainer import run_training
 
 BASELINE_REQUESTS = 30_000
 BLOCKED = {"sp_ff": 6306, "ksp_ff": 4259}
@@ -81,36 +83,63 @@ RUN_SHA256 = {
 }
 
 
-def train_digests(network, out_dir, cfg, names):
-    """Train under ``cfg`` into ``out_dir``; sha256 of each named file."""
-    topo, paths = network
-    result = run_training(
-        cfg.training(), topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-        j_blocks=cfg.j_blocks, hidden_layers=cfg.hidden_layers,
-        hidden_width=cfg.hidden_width,
-        slot_capacity_gbps=cfg.slot_capacity_gbps,
-        shared_hidden=cfg.share_hidden, stats_window=cfg.stats_window,
-        out_dir=out_dir)
-    assert result.final_epoch == cfg.epochs
+CLI_SETTINGS = dict(mode="ep", workers=2, batch_size=5, epochs=10,
+                    hidden_layers=2, hidden_width=16, share_hidden=True,
+                    k_paths=3, j_blocks=2, slot_count=40, mean_duration=20.0,
+                    seed=3, num_requests=3000, stats_window=1000,
+                    metrics_window=100)
+CLI_RUNS = {
+    "baseline-spff": ("baseline", "--mode", "spff"),
+    "baseline-kspff": ("baseline", "--mode", "kspff"),
+    "train": ("train",),
+    "eval": ("eval", "--checkpoint", "{train}/checkpoint-final.npz"),
+}
+CLI_SHA256 = {
+    "baseline-spff": {
+        "metrics.csv":
+            "b77e143f163f7d5cb0566e03208bee736c3782563494782c1401b5038cc6d1ea",
+        "summary.txt":
+            "7e33a10d34fa04de5b1b23ba8d32588bb4a063e5774b5f7a4db04c7f74a69a1c",
+    },
+    "baseline-kspff": {
+        "metrics.csv":
+            "668f88f3a1f623d410a855359f13abbe081eb15b17256c313ea9b88078475d3a",
+        "summary.txt":
+            "b80ac84ab192306cbbbf3c0f005fad1b606d04c246802d91714c5bd4445e4f96",
+    },
+    "train": {
+        "metrics.csv":
+            "ce468c30e6fa563ad244a9af518fd823851fc3308e6ecbe0693a9b82dd265cbf",
+        "summary.txt":
+            "695221a2a3b56c22e9dcd4f1b4f8b522062f9d9ad5db472033ceb88c1f8c03a0",
+        "checkpoint-final.npz":
+            "3dd834a16747763a883e6bc1ef75447799c5aefbc8282e85c83896c152557c93",
+    },
+    "eval": {
+        "metrics.csv":
+            "83063cb4176ce6840a52f41636f193365245950dd18b359d1d2874f22189a213",
+        "summary.txt":
+            "840a4f8954bfc6b88ebcec27ef5573f7e21f191d709b97620255e1a77e5fabfb",
+    },
+}
+
+
+def digests(out_dir, names):
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in names}
 
 
-@pytest.fixture(scope="module")
-def network():
-    cfg = RunConfig()
-    topo = cfg.load_topology()
-    return topo, precompute_paths(topo, cfg.k_paths, cfg.reach_table())
+def train_digests(network, out_dir, cfg, names):
+    """Train under ``cfg`` into ``out_dir``; sha256 of each named file."""
+    result = cfg.train(*network, out_dir=out_dir)
+    assert result.final_epoch == cfg.epochs
+    return digests(out_dir, names)
 
 
 @pytest.mark.parametrize("heuristic", sorted(BLOCKED))
-def test_baseline_blocked_counts(network, heuristic):
-    topo, paths = network
+def test_baseline_blocked_counts(nsfnet_network, heuristic):
     cfg = RunConfig(num_requests=BASELINE_REQUESTS, seed=0)
-    env = RmsaEnv(topo, paths, cfg.traffic(), k_paths=cfg.k_paths,
-                  j_blocks=cfg.j_blocks, seed=cfg.seed,
-                  slot_capacity_gbps=cfg.slot_capacity_gbps,
-                  stats_window=cfg.stats_window)
+    env = cfg.env(*nsfnet_network)
     decide = getattr(env, heuristic)
     for _ in range(cfg.num_requests):
         decide(env.arrive())
@@ -118,15 +147,27 @@ def test_baseline_blocked_counts(network, heuristic):
 
 
 @pytest.mark.parametrize("mode", sorted(TRAIN_SHA256))
-def test_single_worker_training_artifacts(network, tmp_path, mode):
+def test_single_worker_training_artifacts(nsfnet_network, tmp_path, mode):
     cfg = RunConfig(mode=mode, workers=1, epochs=TRAIN_EPOCHS, seed=0)
-    assert train_digests(network, tmp_path, cfg,
+    assert train_digests(nsfnet_network, tmp_path, cfg,
                          TRAIN_SHA256[mode]) == TRAIN_SHA256[mode]
 
 
 @pytest.mark.parametrize("run", sorted(RUN_SHA256))
-def test_lockstep_and_shared_trunk_artifacts(network, tmp_path, run):
+def test_lockstep_and_shared_trunk_artifacts(nsfnet_network, tmp_path, run):
     cfg = RunConfig(epochs=TRAIN_EPOCHS, seed=0,
                     checkpoint_every=CHECKPOINT_EVERY, **RUN_SETTINGS[run])
-    assert train_digests(network, tmp_path, cfg,
+    assert train_digests(nsfnet_network, tmp_path, cfg,
                          RUN_SHA256[run]) == RUN_SHA256[run]
+
+
+def test_cli_artifacts(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    RunConfig(**CLI_SETTINGS).save(cfg_path)
+    got = {}
+    for run, args in CLI_RUNS.items():
+        args = [arg.format(train=tmp_path / "train") for arg in args]
+        out = tmp_path / run
+        assert main([*args, "--config", str(cfg_path), "--out", str(out)]) == 0
+        got[run] = digests(out, CLI_SHA256[run])
+    assert got == CLI_SHA256

@@ -12,7 +12,7 @@ from rmsalab.features import StateEncoder
 from rmsalab.neuralnet import (LayerSpec, forward_policy, forward_value,
                                init_params, load_checkpoint)
 from rmsalab.trainer import (advantages, discounted_returns, roulette_select,
-                             run_training, sliding_window_returns)
+                             sliding_window_returns)
 
 
 def test_discounted_returns_hand_example():
@@ -153,13 +153,7 @@ def small_run(nsfnet, nsfnet_paths, out_dir, mode, epochs, batch_size=5,
                     workers=workers, seed=seed,
                     checkpoint_every=checkpoint_every, hidden_layers=2,
                     hidden_width=16)
-    return run_training(cfg.training(), nsfnet, nsfnet_paths, cfg.traffic(),
-                        k_paths=cfg.k_paths, j_blocks=cfg.j_blocks,
-                        hidden_layers=cfg.hidden_layers,
-                        hidden_width=cfg.hidden_width,
-                        slot_capacity_gbps=cfg.slot_capacity_gbps,
-                        shared_hidden=cfg.share_hidden,
-                        stats_window=cfg.stats_window, out_dir=out_dir)
+    return cfg.train(nsfnet, nsfnet_paths, out_dir=out_dir)
 
 
 def read_metrics(path):
