@@ -26,14 +26,13 @@ from .neuralnet import forward_policy, load_checkpoint
 from .trainer import METRICS_COLUMNS, MetricsWriter
 
 
-def _write_summary(out_dir: Path, entries: dict) -> Path:
-    path = out_dir / "summary.txt"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
-    return path
+def _write_summary(out_dir: Path, entries: dict) -> None:
+    (out_dir / "summary.txt").write_text(
+        "".join(f"{k} = {v}\n" for k, v in entries.items()))
 
 
 def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
-              label: str) -> dict:
+              label: str) -> None:
     """Drive one request-at-a-time run, logging one row per 1000 requests."""
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = MetricsWriter(out_dir / "metrics.csv")
@@ -52,7 +51,7 @@ def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
     blocking = env.stats.blocking_probability()
     trailing = env.stats.blocking_probability(
         min(cfg.stats_window, env.stats.total))
-    summary = {
+    _write_summary(out_dir, {
         "run": label,
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -60,11 +59,9 @@ def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
         "requests_blocked": env.stats.blocked,
         "blocking_probability": blocking,
         f"trailing_blocking_{min(cfg.stats_window, env.stats.total)}": trailing,
-    }
-    _write_summary(out_dir, summary)
+    })
     print(f"{label}: blocking probability {blocking:.6f} "
           f"over {env.stats.total} requests")
-    return summary
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:

@@ -36,19 +36,21 @@ class ProvisionOutcome:
 
 
 class BlockingStats:
-    """Accepted/blocked counters with a bounded trailing window."""
+    """Accepted/blocked counters with a bounded trailing window: the
+    running blocked count after each of the last ``window_cap + 1``
+    requests, so a window's blocked count is one subtraction."""
 
     def __init__(self, window_cap: int):
         self.window_cap = window_cap
         self.total = 0
         self.blocked = 0
-        self._ring = np.zeros(window_cap, dtype=np.uint8)
+        self._blocked_after = [0] * (window_cap + 1)
 
     def record(self, accepted: bool) -> None:
-        self._ring[self.total % self.window_cap] = not accepted
         self.total += 1
         if not accepted:
             self.blocked += 1
+        self._blocked_after[self.total % (self.window_cap + 1)] = self.blocked
 
     def window_counts(self, window: int) -> tuple[int, int]:
         """(requests, blocked) over the trailing ``window`` requests."""
@@ -57,15 +59,8 @@ class BlockingStats:
                 f"window {window} exceeds the retained history "
                 f"({self.window_cap})")
         n = min(window, self.total)
-        if n == 0:
-            return 0, 0
-        end = self.total % self.window_cap
-        start = (self.total - n) % self.window_cap
-        if start < end:
-            blocked = int(self._ring[start:end].sum())
-        else:
-            blocked = int(self._ring[start:].sum()) + int(self._ring[:end].sum())
-        return n, blocked
+        start = (self.total - n) % (self.window_cap + 1)
+        return n, self.blocked - self._blocked_after[start]
 
     def blocking_probability(self, window: int | None = None) -> float:
         """Blocked share of the whole run, or of the trailing window."""

@@ -86,6 +86,9 @@ class Topology:
             if ln.length_km <= 0:
                 raise TopologyError(
                     f"link {ln.id} has non-positive length {ln.length_km}")
+            if not 0 <= ln.id < len(self.links):
+                raise TopologyError(f"link id {ln.id} outside "
+                                    f"0..{len(self.links) - 1}")
             if ln.id in seen_ids:
                 raise TopologyError(f"duplicate link id {ln.id}")
             seen_ids.add(ln.id)
@@ -113,7 +116,8 @@ def parse_topology(text: str, slot_count: int,
 
     First meaningful line is ``nodes <count>``; each following line is
     ``link <id> <nodeA> <nodeB> <length_km>``. Blank lines and ``#``
-    comments are ignored. Node ids are integers in ``[0, count)``.
+    comments are ignored. Node ids are integers in ``[0, count)``, and
+    link ids in ``[0, number of links)``.
     """
     num_nodes: int | None = None
     links: list[Link] = []

@@ -11,34 +11,32 @@ configured epoch count is reached. Two return rules exist, and both
 train on the first N buffered samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
-  state carries the request's position within it, the snapshot is
-  refreshed at each episode start, and the return of the i-th sample
-  aggregates the remaining rewards of its own episode, so late samples
-  see returns built from very few rewards.
+  state carries the request's position within it, and the return of the
+  i-th sample aggregates the remaining rewards of its own episode, so
+  late samples see returns built from very few rewards.
 * sliding-window mode (``flx``): training fires once the buffer holds
   2N - 1 samples; each of the first N samples gets a return over exactly
-  the N rewards that follow it, the trained samples are dropped, and the
-  snapshot is refreshed when the buffer is empty or N - 1 samples remain.
+  the N rewards that follow it, and the trained samples are dropped.
 
-One snapshot serves all W actors exactly as W private copies would. Every
-buffer has the same length after each round, so for N >= 2 all actors
-refresh in the same round, and no gradient is applied in a round that
-refreshes. For N = 1 each actor refreshes just before it acts and trains,
-after the previous actor's update.
+An actor refreshes the snapshot when its buffer holds trigger - N samples
+(at each ``ep`` episode start, or with N - 1 ``flx`` samples left): it
+copies the global parameters in if they have moved since the last copy.
+One snapshot thus serves all W actors exactly as W private copies would:
+it changes only at a refresh, to what a private copy would get there.
+Every buffer has the same length after each round, so for N >= 2 all
+actors refresh in the same round, in which no gradient is applied, and
+only the first copies. For N = 1 each actor refreshes just before it acts
+and trains, after the previous actor's update.
 
 The critic's value estimate enters only the advantages of a trained
 batch, so a sample is buffered without one. When a buffer reaches its
 trigger, every sample still without a value gets one from a single
 stacked ``forward_value`` call on the behaviour snapshot, before the
 batch trains. A value must come from the snapshot its sample acted with,
-and this rule gives exactly that: the snapshot changes only at a refresh,
-and in steady state the samples without a value at a trigger are exactly
-those acted since the last refresh. The one exception is the ``flx``
-warm-up, where the refresh at N - 1 samples finds them all without a
-value; no gradient has been applied yet, so that refresh rewrites the
-same bits. A refresh that finds a sample without a value after the first
-gradient application raises ``ContractViolation``; the lockstep schedule
-never does this.
+and this rule gives exactly that: the samples without a value at a
+trigger are exactly those acted since the snapshot last changed. A copy
+that finds a sample without a value raises ``ContractViolation``; the
+lockstep schedule never does this.
 """
 
 from __future__ import annotations
@@ -176,12 +174,18 @@ class MetricsWriter:
 
 
 class ParamStore:
-    """The global parameter set and the epoch counter."""
+    """The global parameters and the behaviour snapshot, with its epoch."""
 
     def __init__(self, params: ParamSet, cfg: TrainingConfig):
         self.params = params
         self._cfg = cfg
-        self.epoch = 0
+        self.snapshot = params.clone()
+        self.snapshot_epoch = self.epoch
+
+    @property
+    def epoch(self) -> int:
+        """Gradient applications so far: the Adam step count."""
+        return self.params.adam_step
 
     def sync_into(self, snapshot: ParamSet) -> None:
         snapshot.copy_weights_from(self.params)
@@ -190,19 +194,16 @@ class ParamStore:
         """Adam-update the global set; returns the new epoch number."""
         cfg = self._cfg
         adam_apply(self.params, grads, cfg.learning_rate, cfg.grad_clip)
-        self.epoch += 1
         return self.epoch
 
 
 @dataclass
 class WorkerContext:
-    """What every actor shares: the global store, the behaviour snapshot
-    the actors decide and train with, and the run's outputs."""
+    """What every actor shares: the parameter store and the run's outputs."""
 
     cfg: TrainingConfig
     encoder: StateEncoder
     store: ParamStore
-    behaviour: ParamSet
     metrics: MetricsWriter | None
     out_dir: Path | None
 
@@ -224,7 +225,7 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
     actions = np.array([smp.action for smp in samples], dtype=np.intp)
     values = np.array([smp.value for smp in samples])
     batch = Batch(states, actions, advantages(returns, values), returns)
-    grads, stats = backward(ctx.behaviour, batch, cfg.entropy_weight,
+    grads, stats = backward(ctx.store.snapshot, batch, cfg.entropy_weight,
                             cfg.entropy_sign)
     epoch = ctx.store.apply(grads)
     if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
@@ -246,33 +247,35 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
                episode_pos: tuple[int, int] | None) -> None:
     """Serve one request for ``actor`` under a return rule.
 
-    The behaviour snapshot is refreshed when the buffer holds 0 or
-    ``trigger - N`` samples; once it holds ``trigger`` samples, the
-    samples without a value estimate get one in a single stacked pass,
-    and ``returns_fn(rewards, gamma)`` gives the returns of the first N,
-    which are trained on and dropped.
+    At ``trigger - N`` buffered samples the snapshot is refreshed, if the
+    global parameters have moved since it was copied; once the buffer
+    holds ``trigger`` samples, the samples without a value estimate get
+    one in a single stacked pass, and ``returns_fn(rewards, gamma)`` gives
+    the returns of the first N, which are trained on and dropped.
     """
     cfg = ctx.cfg
     n = cfg.batch_size
     buffer = actor.buffer
-    if len(buffer) in (0, trigger - n):
-        if ctx.store.epoch > 0 and any(smp.value is None for smp in buffer):
+    store = ctx.store
+    if len(buffer) == trigger - n and store.snapshot_epoch != store.epoch:
+        if any(smp.value is None for smp in buffer):
             raise ContractViolation(
-                f"worker {actor.worker_id}: refresh at epoch "
-                f"{ctx.store.epoch} finds samples not yet valued under the "
-                "snapshot they acted with")
-        ctx.store.sync_into(ctx.behaviour)
+                f"worker {actor.worker_id}: refresh at epoch {store.epoch} "
+                "finds samples not yet valued under the snapshot they "
+                "acted with")
+        store.sync_into(store.snapshot)
+        store.snapshot_epoch = store.epoch
     env = actor.env
     req = env.arrive()
     state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
                                episode_pos=episode_pos)
-    probs = forward_policy(ctx.behaviour, state)
+    probs = forward_policy(store.snapshot, state)
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
     buffer.append(ExperienceSample(state, action, outcome.reward))
     if len(buffer) == trigger:
         pending = [smp for smp in buffer if smp.value is None]
-        values = forward_value(ctx.behaviour,
+        values = forward_value(store.snapshot,
                                np.stack([smp.state for smp in pending]))
         for smp, value in zip(pending, values.tolist()):
             smp.value = value
@@ -355,8 +358,7 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         for worker_id in range(cfg.worker_count)]
     metrics = MetricsWriter(out_path / "metrics.csv") if out_path else None
     ctx = WorkerContext(cfg=cfg, encoder=encoder, store=store,
-                        behaviour=store.params.clone(), metrics=metrics,
-                        out_dir=out_path)
+                        metrics=metrics, out_dir=out_path)
 
     step = _WORKER_LOOPS[cfg.mode]
     report_every = max(1, cfg.epochs // 20)

@@ -250,6 +250,16 @@ def test_malformed_topology_is_a_config_error(tmp_path, capsys):
     assert "malformed link fields" in err
 
 
+def test_out_of_range_link_id_is_a_config_error(tmp_path, capsys):
+    topo_path = tmp_path / "gap.topo"
+    topo_path.write_text("nodes 3\nlink 0 0 1 100\nlink 7 1 2 100\n")
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", topology=str(topo_path))
+    assert run_cli("baseline", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "b")) == 1
+    assert "link id 7 outside 0..1" in capsys.readouterr().err
+
+
 def test_eval_builds_the_network_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path, mode="flx", epochs=1, batch_size=5, workers=1,

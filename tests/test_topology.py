@@ -57,6 +57,17 @@ def test_duplicate_link_rejected():
         parse_topology(text, 100)
 
 
+@pytest.mark.parametrize("links, message", [
+    # link ids index the spectrum grid, so -1 would alias link 2
+    ("link 0 0 1 100\nlink 1 0 2 100\nlink -1 1 2 100\n",
+     "link id -1 outside 0..2"),
+    ("link 0 0 1 100\nlink 7 1 2 100\n", "link id 7 outside 0..1"),
+])
+def test_link_id_outside_the_link_count_rejected(links, message):
+    with pytest.raises(TopologyError, match=message):
+        parse_topology("nodes 3\n" + links, 100)
+
+
 def test_disconnected_graph_rejected():
     text = "nodes 4\nlink 0 0 1 100\nlink 1 2 3 100\n"
     with pytest.raises(TopologyError, match="not connected"):

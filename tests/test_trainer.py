@@ -205,9 +205,28 @@ def test_syncs_only_at_rule_sync_points(nsfnet, nsfnet_paths, tmp_path,
 
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", spy)
     small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=3)
-    # ep resyncs at each episode start; flx also when N - 1 samples remain
-    expected = {"ep": [0, 1, 2], "flx": [0, 0, 1, 2]}[mode]
-    assert syncs == expected
+    # ep resyncs at each episode start, flx when N - 1 samples remain, and
+    # neither before the first apply: the snapshot starts as a clone
+    assert syncs == [1, 2]
+
+
+@pytest.mark.parametrize("workers, epochs", [(2, 40), (16, 64)])
+def test_flx_copies_the_snapshot_once_per_sync_round(
+        nsfnet, nsfnet_paths, tmp_path, monkeypatch, workers, epochs):
+    syncs = []
+    original = trainer_mod.ParamStore.sync_into
+
+    def spy(self, snapshot):
+        syncs.append(self.epoch)
+        original(self, snapshot)
+
+    monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", spy)
+    small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=epochs,
+              workers=workers)
+    # every actor trains in one round and refreshes in the next, so each
+    # round between two training rounds copies once, for all W actors
+    assert len(set(syncs)) == len(syncs)
+    assert syncs == list(range(workers, epochs, workers))
 
 
 @pytest.mark.parametrize("mode, workers, batch_size",
@@ -215,16 +234,22 @@ def test_syncs_only_at_rule_sync_points(nsfnet, nsfnet_paths, tmp_path,
 def test_acting_and_values_use_the_last_synced_snapshot(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, workers,
         batch_size):
-    # the global parameters cloned at each sync, and per worker the states
-    # acted on, in order, each with the clone in force when it acted
+    # the global parameters cloned at the start and at each sync, and per
+    # worker the states acted on, in order, each with the clone in force
+    # when it acted
     now = {}
     acted = {}
     counts = {"probs": 0, "values": 0}
+    real_init = trainer_mod.ParamStore.__init__
     real_sync = trainer_mod.ParamStore.sync_into
     real_step = trainer_mod.actor_step
     real_encode = StateEncoder.encode
     real_roulette = trainer_mod.roulette_select
     real_advantages = trainer_mod.advantages
+
+    def init(self, *args):
+        real_init(self, *args)
+        now["params"] = self.params.clone()
 
     def sync_into(self, behaviour):
         real_sync(self, behaviour)
@@ -254,6 +279,7 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         counts["values"] += batch_size
         return real_advantages(returns, values)
 
+    monkeypatch.setattr(trainer_mod.ParamStore, "__init__", init)
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
     monkeypatch.setattr(trainer_mod, "actor_step", actor_step)
     monkeypatch.setattr(StateEncoder, "encode", encode)
@@ -275,8 +301,7 @@ def test_refresh_rejects_unvalued_samples_after_an_apply(
             actor.buffer[-1].value = None  # carried across the next refresh
 
     monkeypatch.setattr(trainer_mod, "actor_step", step)
-    # the flx warm-up refresh at N - 1 unvalued samples precedes any apply
-    # and passes; the refresh after the first apply must not
+    # the first copy, after the first apply, finds an unvalued sample
     with pytest.raises(RuntimeError, match="not yet valued") as info:
         small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=3)
     assert isinstance(info.value.__cause__, ContractViolation)
