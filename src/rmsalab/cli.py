@@ -26,7 +26,12 @@ from .neuralnet import forward_policy, load_checkpoint
 from .trainer import METRICS_COLUMNS, MetricsWriter
 
 
-def _write_summary(out_dir: Path, entries: dict) -> None:
+def _write_summary(out_dir: Path, cfg: RunConfig, label: str, entries: dict,
+                   window: int, trailing: float) -> None:
+    """Write ``summary.txt``: label, mode and seed, ``entries``, then the
+    blocking share ``trailing`` over the last ``window`` requests."""
+    entries = {"run": label, "mode": cfg.mode, "seed": cfg.seed, **entries,
+               f"trailing_blocking_{window}": trailing}
     (out_dir / "summary.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in entries.items()))
 
@@ -49,17 +54,12 @@ def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
     finally:
         metrics.close()
     blocking = env.stats.blocking_probability()
-    trailing = env.stats.blocking_probability(
-        min(cfg.stats_window, env.stats.total))
-    _write_summary(out_dir, {
-        "run": label,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+    tail = min(cfg.stats_window, env.stats.total)
+    _write_summary(out_dir, cfg, label, {
         "requests_total": env.stats.total,
         "requests_blocked": env.stats.blocked,
         "blocking_probability": blocking,
-        f"trailing_blocking_{min(cfg.stats_window, env.stats.total)}": trailing,
-    })
+    }, tail, env.stats.blocking_probability(tail))
     print(f"{label}: blocking probability {blocking:.6f} "
           f"over {env.stats.total} requests")
 
@@ -68,16 +68,12 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.used").write_text(cfg.to_text())
     result = cfg.train(*cfg.network(), out_dir=out_dir, progress=True)
-    _write_summary(out_dir, {
-        "run": "train",
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+    _write_summary(out_dir, cfg, "train", {
         "epochs": result.final_epoch,
         "requests_total": result.total_requests,
         "requests_blocked": result.total_blocked,
         "blocking_probability": result.blocking_probability,
-        f"trailing_blocking_{cfg.stats_window}": result.trailing_blocking,
-    })
+    }, cfg.stats_window, result.trailing_blocking)
     print(f"train[{cfg.mode}]: {result.final_epoch} epochs, "
           f"{result.total_requests} requests, "
           f"blocking {result.blocking_probability:.6f} "

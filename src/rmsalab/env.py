@@ -3,8 +3,8 @@ spectrum grid; actions pick a candidate path (and block) for each request.
 
 A request is serviced or blocked immediately on arrival. Acceptance earns
 reward +1, anything else -1, and an infeasible choice never falls back to
-a different path. Shortest-path and K-shortest-path first-fit heuristics
-share the same machinery and serve as baselines.
+a different path. The first-fit baselines are SP-FF, which is the agent's
+action 0, and KSP-FF, which tries each candidate path in length order.
 
 Every decision returns a new ``ProvisionOutcome``. It is a slotted, not a
 frozen, dataclass: a frozen ``__init__`` writes each field through
@@ -155,20 +155,14 @@ class RmsaEnv:
             return self._blocked(path_index)
         return self._provision(req, path, path_index, start, n)
 
-    # The heuristics place through usable_block_start, as step does, so an
-    # agent's j = 0 action and first fit cannot disagree.
     def sp_ff(self, req: Request) -> ProvisionOutcome:
-        """Shortest path with first-fit; never tries an alternate path."""
-        path = self.candidate_paths(req)[0]
-        n = required_slots(req.bandwidth_gbps, path.modulation,
-                           self.slot_capacity_gbps)
-        start = self.spectrum.usable_block_start(path, n)
-        if start is None:
-            return self._blocked(0)
-        return self._provision(req, path, 0, start, n)
+        """Shortest path with first-fit: the agent's action 0."""
+        return self.step(req, 0)
 
     def ksp_ff(self, req: Request) -> ProvisionOutcome:
-        """First-fit over candidate paths in ascending length order."""
+        """First-fit over candidate paths in ascending length order. It
+        places through ``usable_block_start`` as ``step`` does, so its
+        placement on a path is that path's j = 0 action."""
         for index, path in enumerate(self.candidate_paths(req)):
             n = required_slots(req.bandwidth_gbps, path.modulation,
                                self.slot_capacity_gbps)

@@ -9,6 +9,10 @@ the advantage-weighted log-likelihood loss (with entropy term) and the
 mean-squared value loss are computed analytically for this fixed
 architecture into a vector laid out like the parameters, and parameters
 are updated with bias-corrected Adam. All math is double precision.
+
+One layer loop, ``_forward_trace``, serves every forward pass, and
+``policy_loss`` and ``backward`` share one copy of the policy-loss
+formula, so the losses ``backward`` reports are the loss functions' bits.
 """
 
 from __future__ import annotations
@@ -183,28 +187,14 @@ def _elu_grad(pre: np.ndarray) -> np.ndarray:
     return np.where(pre >= 0.0, 1.0, np.exp(pre))
 
 
-def _forward(weights, biases, x: np.ndarray) -> np.ndarray:
-    h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w + b
-        if i < last:
-            h = _elu(h)
-    return h
-
-
 def _forward_trace(weights, biases, x: np.ndarray):
-    """Forward pass keeping layer inputs and pre-activations for backprop."""
+    """Forward pass keeping layer inputs and pre-activations for backprop;
+    the last pre-activation is the net's output."""
     inputs = [x]
-    pres = []
-    h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        pre = h @ w + b
-        pres.append(pre)
-        if i < last:
-            h = _elu(pre)
-            inputs.append(h)
+    pres = [x @ weights[0] + biases[0]]
+    for w, b in zip(weights[1:], biases[1:]):
+        inputs.append(_elu(pres[-1]))
+        pres.append(inputs[-1] @ w + b)
     return inputs, pres
 
 
@@ -224,8 +214,9 @@ def _check_input(spec: LayerSpec, s: np.ndarray) -> None:
 def forward_policy(params: ParamSet, state: np.ndarray) -> np.ndarray:
     """Action probabilities for one state."""
     _check_input(params.spec, state)
-    logits = _forward(params.policy_weights, params.policy_biases, state)
-    return _softmax(logits)
+    _, pres = _forward_trace(params.policy_weights, params.policy_biases,
+                             state)
+    return _softmax(pres[-1])
 
 
 def forward_value(params: ParamSet, states: np.ndarray) -> float | np.ndarray:
@@ -237,20 +228,30 @@ def forward_value(params: ParamSet, states: np.ndarray) -> float | np.ndarray:
     would round differently.
     """
     _check_input(params.spec, states)
+    x = states if states.ndim == 1 else states[:, None, :]
+    _, pres = _forward_trace(params.value_weights, params.value_biases, x)
     if states.ndim == 1:
-        return float(_forward(params.value_weights, params.value_biases,
-                              states)[0])
-    return _forward(params.value_weights, params.value_biases,
-                    states[:, None, :])[:, 0, 0]
-
-
-def _plogp(probs: np.ndarray) -> np.ndarray:
-    # p * log p with the 0 * log 0 = 0 convention
-    return probs * np.log(np.maximum(probs, PROB_FLOOR))
+        return float(pres[-1][0])
+    return pres[-1][:, 0, 0]
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
-    return -_plogp(probs).sum(axis=-1)
+    """Entropy of each distribution along the last axis (0 log 0 = 0)."""
+    return -(probs * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
+
+
+def _policy_terms(logits: np.ndarray, batch: Batch, entropy_weight: float,
+                  entropy_sign: float):
+    """Probabilities, floored log-probabilities, per-sample entropy and
+    policy loss at ``logits``; ``policy_loss`` and ``backward`` share it."""
+    probs = _softmax(logits)
+    logp = np.log(np.maximum(probs, PROB_FLOOR))
+    sample_entropy = entropy(probs)
+    idx = np.arange(len(batch.actions))
+    loss = -float(np.mean(batch.advantages * logp[idx, batch.actions]))
+    if entropy_weight:
+        loss += entropy_sign * entropy_weight * float(sample_entropy.mean())
+    return probs, logp, sample_entropy, loss
 
 
 def policy_loss(params: ParamSet, batch: Batch, entropy_weight: float,
@@ -260,21 +261,16 @@ def policy_loss(params: ParamSet, batch: Batch, entropy_weight: float,
     With the default ``entropy_sign`` of -1 high entropy lowers the loss
     (an exploration bonus); +1 flips the term to a penalty.
     """
-    probs = _softmax(_forward(params.policy_weights, params.policy_biases,
-                              batch.states))
-    idx = np.arange(len(batch.actions))
-    logp_taken = np.log(np.maximum(probs[idx, batch.actions], PROB_FLOOR))
-    loss = -float(np.mean(batch.advantages * logp_taken))
-    if entropy_weight:
-        loss += entropy_sign * entropy_weight * float(np.mean(entropy(probs)))
-    return loss
+    _, pres = _forward_trace(params.policy_weights, params.policy_biases,
+                             batch.states)
+    return _policy_terms(pres[-1], batch, entropy_weight, entropy_sign)[3]
 
 
 def value_loss(params: ParamSet, batch: Batch) -> float:
     """Mean squared error of the value estimates against the returns."""
-    values = _forward(params.value_weights, params.value_biases,
-                      batch.states)[:, 0]
-    return float(np.mean((values - batch.returns) ** 2))
+    _, pres = _forward_trace(params.value_weights, params.value_biases,
+                             batch.states)
+    return float(np.mean((pres[-1][:, 0] - batch.returns) ** 2))
 
 
 def _backprop(weights, inputs, pres, dout, grads_w, grads_b) -> None:
@@ -294,18 +290,16 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
     sum of both nets' gradients."""
     _check_input(params.spec, batch.states)
     n = len(batch.actions)
-    idx = np.arange(n)
     grads = np.zeros_like(params.flat)
     grad_pw, grad_pb, grad_vw, grad_vb = params.layer_views(grads)
 
     p_inputs, p_pres = _forward_trace(params.policy_weights,
                                       params.policy_biases, batch.states)
-    probs = _softmax(p_pres[-1])
-    logp = np.log(np.maximum(probs, PROB_FLOOR))
-    sample_entropy = -(probs * logp).sum(axis=1)
+    probs, logp, sample_entropy, p_loss = _policy_terms(
+        p_pres[-1], batch, entropy_weight, entropy_sign)
 
     dlogits = probs * batch.advantages[:, None]
-    dlogits[idx, batch.actions] -= batch.advantages
+    dlogits[np.arange(n), batch.actions] -= batch.advantages
     if entropy_weight:
         # d(entropy)/dlogits = -p * (log p + H)
         dlogits += (entropy_sign * entropy_weight) * (
@@ -326,12 +320,8 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
             "non-finite gradient encountered; batch advantages "
             f"min/max = {batch.advantages.min()}/{batch.advantages.max()}")
 
-    p_loss = -float(np.mean(batch.advantages * logp[idx, batch.actions]))
-    mean_entropy = float(sample_entropy.mean())
-    if entropy_weight:
-        p_loss += entropy_sign * entropy_weight * mean_entropy
-    v_loss = float(np.mean(residual ** 2))
-    return grads, BatchStats(p_loss, v_loss, mean_entropy)
+    return grads, BatchStats(p_loss, float(np.mean(residual ** 2)),
+                             float(sample_entropy.mean()))
 
 
 def adam_apply(params: ParamSet, grads: np.ndarray, lr: float,

@@ -80,9 +80,14 @@ class Topology:
             for node in (ln.a, ln.b):
                 if not 0 <= node < self.num_nodes:
                     raise TopologyError(
-                        f"link {ln.id} references undeclared node {node}")
+                        f"link {ln.id} references a node {node} outside "
+                        f"0..{self.num_nodes - 1}")
             if ln.a == ln.b:
                 raise TopologyError(f"link {ln.id} is a self-loop on node {ln.a}")
+            # a NaN length would leave the path search's heap order undefined
+            if not math.isfinite(ln.length_km):
+                raise TopologyError(
+                    f"link {ln.id} has non-finite length {ln.length_km}")
             if ln.length_km <= 0:
                 raise TopologyError(
                     f"link {ln.id} has non-positive length {ln.length_km}")
@@ -116,8 +121,9 @@ def parse_topology(text: str, slot_count: int,
 
     First meaningful line is ``nodes <count>``; each following line is
     ``link <id> <nodeA> <nodeB> <length_km>``. Blank lines and ``#``
-    comments are ignored. Node ids are integers in ``[0, count)``, and
-    link ids in ``[0, number of links)``.
+    comments are ignored. Node ids are integers in ``[0, count)``, link
+    ids in ``[0, number of links)``, and lengths finite and positive;
+    ``Topology`` checks each link.
     """
     num_nodes: int | None = None
     links: list[Link] = []
@@ -147,10 +153,6 @@ def parse_topology(text: str, slot_count: int,
         except ValueError:
             raise TopologyError(
                 f"{source}:{lineno}: malformed link fields in {line!r}") from None
-        if not 0 <= a < num_nodes or not 0 <= b < num_nodes:
-            raise TopologyError(
-                f"{source}:{lineno}: link {link_id} references a node outside "
-                f"0..{num_nodes - 1}")
         links.append(Link(link_id, a, b, length))
     if num_nodes is None:
         raise TopologyError(f"{source}: empty topology description")

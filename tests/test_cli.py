@@ -260,6 +260,17 @@ def test_out_of_range_link_id_is_a_config_error(tmp_path, capsys):
     assert "link id 7 outside 0..1" in capsys.readouterr().err
 
 
+def test_non_finite_link_length_is_a_config_error(tmp_path, capsys):
+    topo_path = tmp_path / "nan.topo"
+    topo_path.write_text("nodes 3\nlink 0 0 1 100\nlink 1 1 2 nan\n")
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", topology=str(topo_path),
+                 num_requests=1000)
+    assert run_cli("baseline", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "b")) == 1
+    assert "link 1 has non-finite length nan" in capsys.readouterr().err
+
+
 def test_eval_builds_the_network_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path, mode="flx", epochs=1, batch_size=5, workers=1,

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rmsalab.errors import ContractViolation
-from rmsalab.neuralnet import (Batch, LayerSpec, adam_apply, backward,
-                               entropy, forward_policy, forward_value,
-                               init_params, load_checkpoint, policy_loss,
-                               save_checkpoint, value_loss, _elu)
+from rmsalab.neuralnet import (Batch, BatchStats, LayerSpec, adam_apply,
+                               backward, entropy, forward_policy,
+                               forward_value, init_params, load_checkpoint,
+                               policy_loss, save_checkpoint, value_loss, _elu)
 
 SPEC = LayerSpec(input_dim=54, hidden_layers=5, hidden_width=128,
                  action_count=5)
@@ -223,6 +223,26 @@ def test_backward_stats_match_loss_functions():
     _, stats = backward(params, batch, 0.01)
     assert stats.policy_loss == pytest.approx(policy_loss(params, batch, 0.01))
     assert stats.value_loss == pytest.approx(value_loss(params, batch))
+
+
+@pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
+@pytest.mark.parametrize("entropy_sign", [-1.0, 1.0])
+@pytest.mark.parametrize("shared", [False, True])
+def test_backward_stats_equal_loss_functions_exactly(shared, entropy_sign,
+                                                     entropy_weight):
+    # metrics.csv records the BatchStats bits, so they must be the loss
+    # functions' own bits, not merely close to them
+    rng = np.random.default_rng(12)
+    params = init_params(LayerSpec(5, 2, 7, 3), 8, shared_hidden=shared,
+                         head_scale=1.0)
+    batch = batch_of(rng.normal(size=(9, 5)), rng.integers(0, 3, 9),
+                     rng.normal(size=9), rng.normal(size=9))
+    _, stats = backward(params, batch, entropy_weight, entropy_sign)
+    # the whole row stack in one call, as backward runs it
+    probs = forward_policy(params, batch.states)
+    assert stats == BatchStats(
+        policy_loss(params, batch, entropy_weight, entropy_sign),
+        value_loss(params, batch), float(np.mean(entropy(probs))))
 
 
 # --- Adam -----------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_zero_length_link_rejected():
         parse_topology(text, 100)
 
 
+@pytest.mark.parametrize("length", ["nan", "inf", "1e400"])
+def test_non_finite_link_length_rejected(length):
+    # float() reads all three; 1e400 overflows to inf
+    text = f"nodes 3\nlink 0 0 1 100\nlink 1 1 2 {length}\n"
+    with pytest.raises(TopologyError, match="link 1 has non-finite length"):
+        parse_topology(text, 100)
+
+
 # --- candidate paths -----------------------------------------------------
 
 
