@@ -23,15 +23,15 @@ from .config import BASELINE_MODES, LEARNING_MODES, RunConfig, load_config
 from .env import RmsaEnv
 from .errors import ConfigError
 from .neuralnet import forward_policy, load_checkpoint
-from .trainer import METRICS_COLUMNS, MetricsWriter
+from .trainer import METRICS_COLUMNS, MetricsWriter, pooled_trailing_blocking
 
 
 def _write_summary(out_dir: Path, cfg: RunConfig, label: str, entries: dict,
-                   window: int, trailing: float) -> None:
+                   pooled: int, trailing: float) -> None:
     """Write ``summary.txt``: label, mode and seed, ``entries``, then the
-    blocking share ``trailing`` over the last ``window`` requests."""
+    blocking share ``trailing`` over the ``pooled`` trailing requests."""
     entries = {"run": label, "mode": cfg.mode, "seed": cfg.seed, **entries,
-               f"trailing_blocking_{window}": trailing}
+               f"trailing_blocking_{pooled}": trailing}
     (out_dir / "summary.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in entries.items()))
 
@@ -41,25 +41,20 @@ def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
     """Drive one request-at-a-time run, logging one row per 1000 requests."""
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = MetricsWriter(out_dir / "metrics.csv")
-    window = cfg.metrics_window
     try:
         for i in range(1, cfg.num_requests + 1):
             req = env.arrive()
             decide(req)
             if i % 1000 == 0:
-                metrics.write_row(
-                    i // 1000, 0, env.stats.total, env.stats.blocked,
-                    env.stats.window_reward(window),
-                    env.stats.blocking_probability(window), 0.0, 0.0, 0.0)
+                metrics.write_row(i // 1000, 0, env.stats, cfg.metrics_window)
     finally:
         metrics.close()
     blocking = env.stats.blocking_probability()
-    tail = min(cfg.stats_window, env.stats.total)
     _write_summary(out_dir, cfg, label, {
         "requests_total": env.stats.total,
         "requests_blocked": env.stats.blocked,
         "blocking_probability": blocking,
-    }, tail, env.stats.blocking_probability(tail))
+    }, *pooled_trailing_blocking([env.stats], cfg.stats_window))
     print(f"{label}: blocking probability {blocking:.6f} "
           f"over {env.stats.total} requests")
 
@@ -73,11 +68,11 @@ def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
         "requests_total": result.total_requests,
         "requests_blocked": result.total_blocked,
         "blocking_probability": result.blocking_probability,
-    }, cfg.stats_window, result.trailing_blocking)
+    }, *result.trailing_blocking)
     print(f"train[{cfg.mode}]: {result.final_epoch} epochs, "
           f"{result.total_requests} requests, "
           f"blocking {result.blocking_probability:.6f} "
-          f"(trailing {result.trailing_blocking:.6f})")
+          f"(trailing {result.trailing_blocking[1]:.6f})")
     return 0
 
 
@@ -109,15 +104,13 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             f"match k_paths * j_blocks = {cfg.k_paths * cfg.j_blocks}")
 
     env = cfg.env(topo, paths)
-    count = 0
     batch_n = cfg.batch_size
 
     def decide(req) -> None:
         # greedy action selection; in episode mode cycle the position
-        # indicator the way training would see it
-        nonlocal count
-        pos = (count % batch_n + 1, batch_n) if cfg.mode == "ep" else None
-        count += 1
+        # indicator over the decided requests the way training would see it
+        pos = ((env.stats.total % batch_n + 1, batch_n) if cfg.mode == "ep"
+               else None)
         state = encoder.encode(req, env.spectrum, env.candidate_paths(req),
                                episode_pos=pos)
         action = int(np.argmax(forward_policy(params, state)))

@@ -3,8 +3,9 @@ spectrum grid; actions pick a candidate path (and block) for each request.
 
 A request is serviced or blocked immediately on arrival. Acceptance earns
 reward +1, anything else -1, and an infeasible choice never falls back to
-a different path. The first-fit baselines are SP-FF, which is the agent's
-action 0, and KSP-FF, which tries each candidate path in length order.
+a different path. The first-fit baselines are SP-FF, the agent's action 0,
+and KSP-FF, which tries each candidate path in length order; all place
+through one block query, ``NetworkSpectrum.path_blocks``.
 
 Every decision returns a new ``ProvisionOutcome``. It is a slotted, not a
 frozen, dataclass: a frozen ``__init__`` writes each field through
@@ -150,9 +151,10 @@ class RmsaEnv:
         path = paths[path_index]
         n = required_slots(req.bandwidth_gbps, path.modulation,
                            self.slot_capacity_gbps)
-        start = self.spectrum.usable_block_start(path, n, block_index)
-        if start is None:
+        blocks = self.spectrum.path_blocks(path, n, block_index + 1)[0]
+        if len(blocks) <= block_index:
             return self._blocked(path_index)
+        start = blocks[block_index][0]
         return self._provision(req, path, path_index, start, n)
 
     def sp_ff(self, req: Request) -> ProvisionOutcome:
@@ -161,12 +163,12 @@ class RmsaEnv:
 
     def ksp_ff(self, req: Request) -> ProvisionOutcome:
         """First-fit over candidate paths in ascending length order. It
-        places through ``usable_block_start`` as ``step`` does, so its
-        placement on a path is that path's j = 0 action."""
+        places in the first block ``path_blocks`` finds, as ``step`` does,
+        so its placement on a path is that path's j = 0 action."""
         for index, path in enumerate(self.candidate_paths(req)):
             n = required_slots(req.bandwidth_gbps, path.modulation,
                                self.slot_capacity_gbps)
-            start = self.spectrum.usable_block_start(path, n)
-            if start is not None:
-                return self._provision(req, path, index, start, n)
+            blocks = self.spectrum.path_blocks(path, n, 1)[0]
+            if blocks:
+                return self._provision(req, path, index, blocks[0][0], n)
         return self._blocked(None)

@@ -7,8 +7,9 @@ search over the slots free on all of its links.
 Each link's occupancy is one Python ``int``: bit s is set when slot s is
 used. A path's free slots are the complement of the OR of its links, and
 ``path_blocks`` answers every block question on that one bitset with a
-few whole-word operations. First fit, the j-th usable block, the
-encoder's per-path fields and ``block_spans`` all read it.
+few whole-word operations. It is the one block query: ``RmsaEnv.step``
+takes block j of ``path_blocks(path, n, j + 1)``, first fit block 0, and
+the encoder's per-path fields and ``block_spans`` read it too.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class NetworkSpectrum:
         blocks = self.path_blocks(path, 1, self.slot_count)[0]
         spans = np.array(blocks, dtype=np.intp).reshape(-1, 2)
         return spans[:, 0], spans[:, 1]
-
-    def usable_block_start(self, path: CandidatePath, n: int,
-                           j: int = 0) -> int | None:
-        """Start of the ``j``-th lowest maximal free block along ``path``
-        that can hold ``n`` slots, or None; ``j = 0`` is first fit."""
-        if j < 0:
-            raise ContractViolation(f"block index must be >= 0, got {j}")
-        blocks = self.path_blocks(path, n, j + 1)[0]
-        return blocks[j][0] if j < len(blocks) else None
 
     def allocate(self, path: CandidatePath, start: int, n: int,
                  lightpath_id: int) -> None:

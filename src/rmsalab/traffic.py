@@ -5,7 +5,7 @@ A ``Request`` is built for every arrival, so it is a ``NamedTuple``:
 immutable like a frozen dataclass, with the same fields, order and
 keywords, but built without a per-field ``object.__setattr__``. Each
 request takes five draws from its stream's generator in a fixed order
-(see ``next_request``); changing a draw or the order changes every
+(see ``RequestStream.next``); changing a draw or the order changes every
 seeded result.
 """
 
@@ -40,28 +40,6 @@ class TrafficConfig:
     bandwidth_max: float
 
 
-def next_request(rng: np.random.Generator, cfg: TrafficConfig, node_count: int,
-                 now: float, request_id: int) -> Request:
-    """Sample the next arrival after ``now``.
-
-    Interarrival is exponential with mean 1/arrival_rate, (src, dst) is
-    uniform over ordered pairs with src != dst, bandwidth uniform over the
-    configured range, holding time exponential with the configured mean.
-    """
-    arrival = now + rng.exponential(1.0 / cfg.arrival_rate)
-    src = int(rng.integers(node_count))
-    dst = int(rng.integers(node_count - 1))
-    if dst >= src:
-        dst += 1
-    # Generator.uniform(low, high) returns exactly low + (high - low) *
-    # random() from the same single draw; spelled out, it skips uniform's
-    # argument handling, which costs more than the draw itself.
-    bandwidth = (cfg.bandwidth_min
-                 + (cfg.bandwidth_max - cfg.bandwidth_min) * rng.random())
-    duration = float(rng.exponential(cfg.mean_duration))
-    return Request(request_id, src, dst, bandwidth, duration, arrival)
-
-
 class RequestStream:
     """Stateful request source: monotone ids and a running clock."""
 
@@ -76,10 +54,28 @@ class RequestStream:
         self._next_id = 0
 
     def next(self) -> Request:
-        req = next_request(self.rng, self.cfg, self.node_count, self.now,
-                           self._next_id)
+        """Sample the next arrival after ``now`` and advance the clock.
+
+        Interarrival is exponential with mean 1/arrival_rate, (src, dst) is
+        uniform over ordered pairs with src != dst, bandwidth uniform over
+        the configured range, holding time exponential with the configured
+        mean.
+        """
+        rng = self.rng
+        cfg = self.cfg
+        self.now += rng.exponential(1.0 / cfg.arrival_rate)
+        src = int(rng.integers(self.node_count))
+        dst = int(rng.integers(self.node_count - 1))
+        if dst >= src:
+            dst += 1
+        # Generator.uniform(low, high) returns exactly low + (high - low) *
+        # random() from the same single draw; spelled out, it skips
+        # uniform's argument handling, which costs more than the draw itself.
+        bandwidth = (cfg.bandwidth_min
+                     + (cfg.bandwidth_max - cfg.bandwidth_min) * rng.random())
+        duration = float(rng.exponential(cfg.mean_duration))
+        req = Request(self._next_id, src, dst, bandwidth, duration, self.now)
         self._next_id += 1
-        self.now = req.arrival_time
         return req
 
 

@@ -50,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import RmsaEnv
+from .env import BlockingStats, RmsaEnv
 from .errors import ContractViolation
 from .features import StateEncoder
 from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
@@ -164,7 +164,13 @@ class MetricsWriter:
             return str(int(value))
         return repr(float(value))
 
-    def write_row(self, *values) -> None:
+    def write_row(self, epoch: int, worker: int, stats: BlockingStats,
+                  window: int, losses=(0.0, 0.0, 0.0)) -> None:
+        """One row: the counts, reward and blocking share of ``stats`` over
+        its trailing ``window`` requests, then (policy, value, entropy)."""
+        values = (epoch, worker, stats.total, stats.blocked,
+                  stats.window_reward(window),
+                  stats.blocking_probability(window), *losses)
         if len(values) != len(METRICS_COLUMNS):
             raise ValueError(f"expected {len(METRICS_COLUMNS)} values")
         self._fh.write(",".join(self._fmt(v) for v in values) + "\n")
@@ -233,13 +239,9 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
         save_checkpoint(ctx.store.params,
                         ctx.out_dir / f"checkpoint-{epoch}.npz")
     if ctx.metrics is not None:
-        env_stats = actor.env.stats
-        window = cfg.metrics_window
         ctx.metrics.write_row(
-            epoch, actor.worker_id, env_stats.total, env_stats.blocked,
-            env_stats.window_reward(window),
-            env_stats.blocking_probability(window),
-            stats.policy_loss, stats.value_loss, stats.entropy)
+            epoch, actor.worker_id, actor.env.stats, cfg.metrics_window,
+            (stats.policy_loss, stats.value_loss, stats.entropy))
 
 
 def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
@@ -307,12 +309,14 @@ class TrainingResult:
     total_requests: int
     total_blocked: int
     blocking_probability: float
-    trailing_blocking: float
+    trailing_blocking: tuple[int, float]
     params: ParamSet
 
 
-def pooled_trailing_blocking(stats_list, window: int) -> float:
-    """Blocking over the trailing window, split evenly across workers."""
+def pooled_trailing_blocking(stats_list, window: int) -> tuple[int, float]:
+    """(requests pooled, blocked share of them) over the trailing window,
+    split evenly across workers: each gives its last ``window // W``
+    requests, or all it served if fewer."""
     per_worker = max(1, window // len(stats_list))
     total = 0
     blocked = 0
@@ -320,7 +324,7 @@ def pooled_trailing_blocking(stats_list, window: int) -> float:
         t, b = stats.window_counts(per_worker)
         total += t
         blocked += b
-    return blocked / total if total else float("nan")
+    return total, blocked / total if total else float("nan")
 
 
 def run_training(cfg: TrainingConfig, topology: Topology, paths,

@@ -159,6 +159,31 @@ def test_train_tiny_run_artifacts(tmp_path):
     assert (out / "config.used").exists()
 
 
+@pytest.mark.parametrize("stats_window", [1000, 60])
+def test_train_summary_names_the_pooled_request_count(tmp_path,
+                                                      stats_window):
+    # each of the W = 3 workers pools its last stats_window // 3 requests,
+    # or all it served if fewer; the key names the requests pooled
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="flx", workers=3, epochs=30, batch_size=5,
+                 hidden_layers=2, hidden_width=8, stats_window=stats_window,
+                 metrics_window=50)
+    out = tmp_path / "train"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+    summary = dict(line.split(" = ")
+                   for line in (out / "summary.txt").read_text().splitlines())
+    total = int(summary["requests_total"])
+    # a total divisible by 3 means the last round ran to its end, so every
+    # worker served total // 3 requests
+    assert total % 3 == 0
+    pooled = 3 * min(stats_window // 3, total // 3)
+    assert [key for key in summary if key.startswith("trailing_blocking_")
+            ] == [f"trailing_blocking_{pooled}"]
+    if pooled == total:
+        assert (summary[f"trailing_blocking_{pooled}"]
+                == summary["blocking_probability"])
+
+
 def test_cli_train_is_deterministic(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path, mode="ep", epochs=4, batch_size=5, workers=1,

@@ -75,8 +75,9 @@ def test_blocked_request_leaves_state_unchanged(nsfnet, nsfnet_paths):
 
 
 def test_action_out_of_range_rejected(nsf_env):
-    with pytest.raises(ValueError, match="outside"):
-        nsf_env.step(fixed_request(), action=5)
+    for action in (5, -1):
+        with pytest.raises(ValueError, match="outside"):
+            nsf_env.step(fixed_request(), action=action)
 
 
 def test_action_on_missing_path_blocks(triangle):
@@ -140,7 +141,7 @@ def test_ksp_accepts_superset_of_sp_decisions(nsfnet, nsfnet_paths):
         path0 = ksp_env.candidate_paths(ksp_req)[0]
         n = required_slots(ksp_req.bandwidth_gbps, path0.modulation,
                            SLOT_GBPS)
-        sp_would_fit = ksp_env.spectrum.usable_block_start(path0, n) is not None
+        sp_would_fit = bool(ksp_env.spectrum.path_blocks(path0, n, 1)[0])
         out = ksp_env.ksp_ff(ksp_req)
         if sp_would_fit:
             sp_feasible_total += 1
@@ -172,7 +173,10 @@ def test_step_matches_single_path_first_fit(nsfnet, nsfnet_paths, set_grid,
             k, j = divmod(action, j_blocks)
             n = required_slots(req.bandwidth_gbps, paths[k].modulation,
                                SLOT_GBPS)
-            expected = env.spectrum.usable_block_start(paths[k], n, j)
+            # every maximal block of path k, then the ones that hold n
+            feasible = [start for start, size in env.spectrum.path_blocks(
+                paths[k], 1, nsfnet.slot_count)[0] if size >= n]
+            expected = feasible[j] if j < len(feasible) else None
             out = env.step(req, action)
             assert out.path_index == k
             assert out.accepted == (expected is not None)

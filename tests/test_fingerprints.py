@@ -111,7 +111,7 @@ CLI_SHA256 = {
         "metrics.csv":
             "ce468c30e6fa563ad244a9af518fd823851fc3308e6ecbe0693a9b82dd265cbf",
         "summary.txt":
-            "695221a2a3b56c22e9dcd4f1b4f8b522062f9d9ad5db472033ceb88c1f8c03a0",
+            "b6bcc2c8a187646f1075996130e871be680d3ae763f37c76f72c286a519dfe27",
         "checkpoint-final.npz":
             "3dd834a16747763a883e6bc1ef75447799c5aefbc8282e85c83896c152557c93",
     },

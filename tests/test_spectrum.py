@@ -54,7 +54,8 @@ def test_first_fit(n, expected, nsfnet, nsfnet_paths, set_grid):
     path = nsfnet_paths[(0, 5)][0]
     set_grid(spectrum, True, free=[3, 4, 8, 9, 10, 11, 12])
     assert spans(spectrum, path) == [(3, 2), (8, 5)]
-    assert spectrum.usable_block_start(path, n) == expected
+    blocks = spectrum.path_blocks(path, n, 1)[0]
+    assert (blocks[0][0] if blocks else None) == expected
 
 
 def test_allocate_removes_block(line, line_spectrum):
@@ -117,10 +118,9 @@ def test_usable_block_spans_filters_small_blocks(line, line_spectrum,
     path = _two_link_path(line)
     assert spans(line_spectrum, path) == [(0, 1), (3, 3), (9, 1)]
     # the only block that holds 2 slots is the one of size 3 at slot 3
-    assert line_spectrum.usable_block_start(path, 2) == 3
-    assert line_spectrum.usable_block_start(path, 2, 1) is None
-    assert [line_spectrum.usable_block_start(path, 1, j)
-            for j in range(4)] == [0, 3, 9, None]
+    assert line_spectrum.path_blocks(path, 2, 2)[0] == [(3, 3)]
+    assert line_spectrum.path_blocks(path, 1, 4)[0] == [(0, 1), (3, 3),
+                                                        (9, 1)]
 
 
 def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
@@ -139,10 +139,10 @@ def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
             pair = pairs[int(rng.integers(len(pairs)))]
             path = nsfnet_paths[pair][int(rng.integers(5))]
             n = int(rng.integers(1, 9))
-            start = spectrum.usable_block_start(path, n)
-            if start is None:
+            blocks = spectrum.path_blocks(path, n, 1)[0]
+            if not blocks:
                 continue
-            spectrum.allocate(path, start, n, next_id)
+            spectrum.allocate(path, blocks[0][0], n, next_id)
             active[next_id] = (n, len(path.link_ids))
             next_id += 1
         # occupied slot total always matches the live lightpath records
@@ -178,14 +178,16 @@ def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
                 rebuilt[start:end] = True
                 prev_end = end
             assert np.array_equal(rebuilt, mask)
-            # j = 0 is the minimal feasible start, j the j-th feasible one
+            # block 0 is the minimal feasible start, block j the j-th
+            # feasible one
             for n in (1, 3, 8):
                 feasible = [b for b, z in blocks if z >= n]
-                assert spectrum.usable_block_start(path, n) == (
-                    min(feasible) if feasible else None)
+                first = spectrum.path_blocks(path, n, 1)[0]
+                assert [b for b, _ in first] == (
+                    [min(feasible)] if feasible else [])
                 for j in range(3):
-                    assert spectrum.usable_block_start(path, n, j) == (
-                        feasible[j] if j < len(feasible) else None)
+                    got = spectrum.path_blocks(path, n, j + 1)[0]
+                    assert [b for b, _ in got] == feasible[:j + 1]
 
 
 def test_path_blocks_match_block_spans_of_each_path(nsfnet, nsfnet_paths,
@@ -254,23 +256,19 @@ def test_block_query_matches_a_slot_scan(line, used, n, j):
         blocks = scan_blocks(free)
         usable = [b for b in blocks if b[1] >= n]
         assert spans(spectrum, path) == blocks
-        assert spectrum.usable_block_start(path, n, j) == (
-            usable[j][0] if j < len(usable) else None)
         assert spectrum.path_blocks(path, n, j + 1) == (
             usable[:j + 1], sum(free), len(blocks))
 
 
-def test_block_query_rejects_bad_demand_and_block_index(nsfnet,
-                                                        nsfnet_paths):
-    # a negative index must not read blocks from the end, nor n = 0 fit
+def test_block_query_rejects_bad_demand(nsfnet, nsfnet_paths):
+    # n = 0 must not fit, also when no block is asked for; a negative
+    # block index never reaches the query, since step rejects the action
     spectrum = NetworkSpectrum(nsfnet)
     path = nsfnet_paths[(0, 5)][0]
     spectrum.allocate(path, 10, 5, lightpath_id=1)
-    with pytest.raises(ContractViolation, match="block index"):
-        spectrum.usable_block_start(path, 2, -1)
     for n in (0, -3):
         with pytest.raises(ContractViolation, match="slot count"):
-            spectrum.usable_block_start(path, n)
+            spectrum.path_blocks(path, n, 0)
         with pytest.raises(ContractViolation, match="slot count"):
             spectrum.path_blocks(path, n, 1)
 

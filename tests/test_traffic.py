@@ -3,8 +3,7 @@ import pytest
 
 from rmsalab.config import RunConfig
 from rmsalab.errors import ConfigError
-from rmsalab.traffic import (DepartureQueue, Request, RequestStream,
-                             next_request)
+from rmsalab.traffic import DepartureQueue, Request, RequestStream
 
 
 def make_stream(seed, arrival_rate=10.0, mean_duration=15.0, nodes=14):
@@ -67,14 +66,6 @@ def test_endpoint_histogram_close_to_uniform():
     expected = samples / (nodes * (nodes - 1))
     off_diag = counts[~np.eye(nodes, dtype=bool)]
     assert np.all(np.abs(off_diag - expected) / expected < 0.10)
-
-
-def test_next_request_uses_now_offset():
-    cfg = RunConfig().traffic()
-    rng = np.random.default_rng(0)
-    req = next_request(rng, cfg, 5, now=100.0, request_id=3)
-    assert req.arrival_time > 100.0
-    assert req.id == 3
 
 
 def reference_stream(cfg, nodes, rng, count):
