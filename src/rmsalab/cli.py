@@ -104,15 +104,10 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
             f"match k_paths * j_blocks = {cfg.k_paths * cfg.j_blocks}")
 
     env = cfg.env(topo, paths)
-    batch_n = cfg.batch_size
 
     def decide(req) -> None:
-        # greedy action selection; in episode mode cycle the position
-        # indicator over the decided requests the way training would see it
-        pos = ((env.stats.total % batch_n + 1, batch_n) if cfg.mode == "ep"
-               else None)
         state = encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                               episode_pos=pos)
+                               episode_length=cfg.batch_size)
         action = int(np.argmax(forward_policy(params, state)))
         env.step(req, action)
 

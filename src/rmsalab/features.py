@@ -9,9 +9,11 @@ free slots. A block the demand cannot use tells the policy nothing
 about where the request could go, so the J reported blocks are the
 usable ones (the first being the first-fit placement) and a sentinel
 marks their absence. In episode mode one trailing element carries the
-request's position within the episode. Every field is scaled by a fixed
-constant (grid size, maximum slot need, twice the mean holding time) so
-encoding is stateless and reproducible. Each path group is read from
+request's position within the episode: with N requests per episode,
+request ``id`` is at 1-based position ``i = id % N + 1``, encoded as
+``(N - i + 1) / N``. Every field is scaled by a fixed constant (grid
+size, maximum slot need, twice the mean holding time) so encoding is
+stateless and reproducible. Each path group is read from
 ``NetworkSpectrum.path_blocks``, the per-path block query that
 ``RmsaEnv.step`` and the first-fit heuristics also use.
 """
@@ -62,21 +64,19 @@ class StateEncoder:
 
     def encode(self, req: Request, spectrum: NetworkSpectrum,
                paths: tuple[CandidatePath, ...],
-               episode_pos: tuple[int, int] | None = None) -> np.ndarray:
+               episode_length: int | None = None) -> np.ndarray:
         """Encode one decision point.
 
         ``paths`` are the precomputed candidates for (req.src, req.dst);
         if the graph offers fewer than K, the missing path groups encode
-        as all-missing blocks with zero free spectrum. ``episode_pos`` is
-        the 1-based (i, N) position within the episode, required in
-        episode mode and ignored otherwise.
+        as all-missing blocks with zero free spectrum. ``episode_length``
+        is N, the requests per episode, from which the request's position
+        follows; it is required in episode mode and ignored otherwise.
         """
-        if self.with_position:
-            if episode_pos is None:
-                raise ValueError("episode position is required in ep mode")
-            pos_i, pos_n = episode_pos
-            if not 1 <= pos_i <= pos_n:
-                raise ValueError(f"episode position {episode_pos} out of range")
+        if self.with_position and (episode_length is None
+                                   or episode_length < 1):
+            raise ValueError("the episode position needs an episode length "
+                             f">= 1 in ep mode, got {episode_length}")
 
         n_nodes = self.node_count
         f0 = float(self.slot_count)
@@ -102,5 +102,5 @@ class StateEncoder:
         out[self._groups] = values
 
         if self.with_position:
-            out[-1] = (pos_n - pos_i + 1) / pos_n
+            out[-1] = (episode_length - req.id % episode_length) / episode_length
         return out

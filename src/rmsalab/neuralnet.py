@@ -4,8 +4,9 @@ Both networks are plain ELU stacks of identical shape; the policy head
 emits one logit per action and the value head a single scalar. All
 parameters live in one flat float64 vector, and every weight and bias is
 a reshaped view into it, so a weight sync or a copy is one whole-vector
-operation and Adam one update rule over the flat vectors. Gradients for
-the advantage-weighted log-likelihood loss (with entropy term) and the
+operation, Adam one update rule over the flat vectors, and a checkpoint
+the flat vectors (parameters and both Adam moments). Gradients for the
+advantage-weighted log-likelihood loss (with entropy term) and the
 mean-squared value loss are computed analytically for this fixed
 architecture into a vector laid out like the parameters, and parameters
 are updated with bias-corrected Adam. All math is double precision.
@@ -18,7 +19,8 @@ formula, so the losses ``backward`` reports are the loss functions' bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import ContractViolation
 
 PROB_FLOOR = 1e-12
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -105,16 +107,6 @@ class ParamSet:
             vb = pb[:-1] + vb
         return pw, pb, vw, vb
 
-    def assign(self, policy_weights, policy_biases, value_weights,
-               value_biases) -> None:
-        """Copy per-layer arrays in. The policy's are written last, so
-        under a shared trunk the value net's hidden arrays are ignored."""
-        for dst, src in zip(self.value_weights + self.value_biases
-                            + self.policy_weights + self.policy_biases,
-                            value_weights + value_biases
-                            + policy_weights + policy_biases):
-            np.copyto(dst, src)
-
     def clone(self) -> "ParamSet":
         """Independent deep copy (fresh Adam state)."""
         copy = ParamSet(self.spec, self.shared_hidden)
@@ -157,9 +149,9 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
     """
     rng = np.random.default_rng(seed)
 
-    def stack(output_dim: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        weights, biases = [], []
+    def draw(output_dim: int) -> list[np.ndarray]:
         dims = spec.dims(output_dim)
+        weights = []
         for i, (fan_in, fan_out) in enumerate(dims):
             scale = np.sqrt(2.0 / fan_in)
             if i == 0:
@@ -167,15 +159,17 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
             if i == len(dims) - 1:
                 scale *= head_scale
             weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            biases.append(np.zeros(fan_out))
-        return weights, biases
+        return weights
 
     # both stacks are drawn, in this order, also when the value net's
-    # hidden layers are then dropped for a shared trunk
-    pw, pb = stack(spec.action_count)
-    vw, vb = stack(1)
+    # hidden layers are then dropped for a shared trunk: the policy's
+    # draws are written last, so they are the ones a shared view keeps
+    policy = draw(spec.action_count)
+    value = draw(1)
     params = ParamSet(spec, shared_hidden)
-    params.assign(pw, pb, vw, vb)
+    for view, weights in zip(params.value_weights + params.policy_weights,
+                             value + policy):
+        view[...] = weights
     return params
 
 
@@ -360,46 +354,37 @@ def adam_apply(params: ParamSet, grads: np.ndarray, lr: float,
 
 
 def save_checkpoint(params: ParamSet, path: str | Path) -> None:
-    """Write a bit-exact snapshot (weights, Adam state, layer spec)."""
-    spec = params.spec
-    payload: dict[str, np.ndarray] = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "input_dim": np.array(spec.input_dim),
-        "hidden_layers": np.array(spec.hidden_layers),
-        "hidden_width": np.array(spec.hidden_width),
-        "action_count": np.array(spec.action_count),
-        "shared_hidden": np.array(int(params.shared_hidden)),
-        "adam_step": np.array(params.adam_step),
-    }
-    for i, (w, b) in enumerate(zip(params.policy_weights, params.policy_biases)):
-        payload[f"policy_w{i}"] = w
-        payload[f"policy_b{i}"] = b
-    for i, (w, b) in enumerate(zip(params.value_weights, params.value_biases)):
-        payload[f"value_w{i}"] = w
-        payload[f"value_b{i}"] = b
-    for i, (m, v) in enumerate(zip(params.views(params.adam_m),
-                                   params.views(params.adam_v))):
-        payload[f"adam_m{i}"] = m
-        payload[f"adam_v{i}"] = v
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    """Write a bit-exact snapshot: the layer spec, the trunk flag, the Adam
+    step and the three flat vectors (parameters and both Adam moments).
+    A sibling temporary file is renamed over ``path`` once complete, so an
+    interrupted write leaves the previous file, or none, never a torn one."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, version=CHECKPOINT_VERSION, **vars(params.spec),
+                     shared_hidden=int(params.shared_hidden),
+                     adam_step=params.adam_step, flat=params.flat,
+                     adam_m=params.adam_m, adam_v=params.adam_v)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:
+    """The ``ParamSet`` a ``save_checkpoint`` file holds; raises
+    ``ValueError`` on another version or a vector of the wrong shape."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        spec = LayerSpec(int(data["input_dim"]), int(data["hidden_layers"]),
-                         int(data["hidden_width"]), int(data["action_count"]))
+        spec = LayerSpec(*(int(data[f.name]) for f in fields(LayerSpec)))
         params = ParamSet(spec, bool(int(data["shared_hidden"])))
-        layer_count = spec.hidden_layers + 1
-        params.assign(*([data[f"{key}{i}"] for i in range(layer_count)]
-                        for key in ("policy_w", "policy_b", "value_w",
-                                    "value_b")))
         params.adam_step = int(data["adam_step"])
-        for i, (m, v) in enumerate(zip(params.views(params.adam_m),
-                                       params.views(params.adam_v))):
-            np.copyto(m, data[f"adam_m{i}"])
-            np.copyto(v, data[f"adam_v{i}"])
+        for key in ("flat", "adam_m", "adam_v"):
+            vec = data[key]
+            if vec.shape != params.flat.shape:
+                raise ValueError(f"checkpoint array {key} has shape "
+                                 f"{vec.shape}, expected {params.flat.shape}")
+            np.copyto(getattr(params, key), vec)
     return params

@@ -245,8 +245,7 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
 
 
 def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
-               returns_fn: Callable[[np.ndarray, float], np.ndarray],
-               episode_pos: tuple[int, int] | None) -> None:
+               returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
     """Serve one request for ``actor`` under a return rule.
 
     At ``trigger - N`` buffered samples the snapshot is refreshed, if the
@@ -270,7 +269,7 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
     env = actor.env
     req = env.arrive()
     state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                               episode_pos=episode_pos)
+                               episode_length=n)
     probs = forward_policy(store.snapshot, state)
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
@@ -288,15 +287,14 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
 
 def run_actor_learner_ep(actor: Actor, ctx: WorkerContext) -> None:
     """Episode rule: trigger N, position indicator in the state."""
-    n = ctx.cfg.batch_size
-    actor_step(actor, ctx, n, discounted_returns, (len(actor.buffer) + 1, n))
+    actor_step(actor, ctx, ctx.cfg.batch_size, discounted_returns)
 
 
 def run_actor_learner_flx(actor: Actor, ctx: WorkerContext) -> None:
     """Sliding-window rule: trigger 2N - 1, N-reward window per sample."""
     n = ctx.cfg.batch_size
     actor_step(actor, ctx, 2 * n - 1,
-               partial(sliding_window_returns, window=n), None)
+               partial(sliding_window_returns, window=n))
 
 
 # mode -> one-request step, looked up when a run starts

@@ -57,3 +57,28 @@ def _set_grid(spectrum, occupied, free=()):
 def set_grid():
     """The one way tests write a spectrum grid directly."""
     return _set_grid
+
+
+# ways a checkpoint file can be wrong: the key replaced, its new value
+# made from the saved one, and what the load error must name
+CHECKPOINT_DAMAGE = {
+    "short-flat": ("flat", lambda saved: saved[:1], "flat"),
+    "short-adam-v": ("adam_v", lambda saved: saved[:-1], "adam_v"),
+    "version-1": ("version", lambda saved: np.array(1), "version 1"),
+}
+
+
+@pytest.fixture
+def damaged_checkpoints(tmp_path):
+    """Writes damaged copies of a checkpoint file, one per kind of damage,
+    and returns (copy path, what its load error names) pairs."""
+    def damage(src):
+        with np.load(src) as data:
+            arrays = dict(data)
+        copies = []
+        for name, (key, change, named) in CHECKPOINT_DAMAGE.items():
+            path = tmp_path / f"damaged-{name}.npz"
+            np.savez(path, **{**arrays, key: change(arrays[key])})
+            copies.append((path, named))
+        return copies
+    return damage

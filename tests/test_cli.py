@@ -198,7 +198,8 @@ def test_cli_train_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_eval_flow_and_missing_checkpoint(tmp_path, capsys):
+def test_eval_flow_and_missing_checkpoint(tmp_path, capsys,
+                                          damaged_checkpoints):
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path, mode="flx", epochs=2, batch_size=5, workers=1,
                  hidden_layers=2, hidden_width=8, num_requests=1500,
@@ -220,6 +221,12 @@ def test_eval_flow_and_missing_checkpoint(tmp_path, capsys):
     assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
                    str(foreign), "--out", str(tmp_path / "e4")) == 1
     assert "checkpoint" in capsys.readouterr().err
+    for damaged, named in damaged_checkpoints(out / "checkpoint-final.npz"):
+        assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
+                       str(damaged), "--out",
+                       str(tmp_path / f"eval-{damaged.stem}")) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint" in err and named in err
 
 
 def test_eval_checkpoint_shape_mismatch(tmp_path, capsys):

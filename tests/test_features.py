@@ -66,10 +66,11 @@ def test_position_indicator_in_episode_mode(nsfnet, nsfnet_paths):
     spectrum = NetworkSpectrum(nsfnet)
     encoder = make_encoder(nsfnet, "ep")
     req = Request(0, 0, 1, 50.0, 10.0, 0.0)
+    # request id i - 1 is at position i of an episode, 1-based
     first = encoder.encode(req, spectrum, nsfnet_paths[(0, 1)],
-                           episode_pos=(1, 50))
-    last = encoder.encode(req, spectrum, nsfnet_paths[(0, 1)],
-                          episode_pos=(50, 50))
+                           episode_length=50)
+    last = encoder.encode(req._replace(id=49), spectrum,
+                          nsfnet_paths[(0, 1)], episode_length=50)
     assert first[-1] == 1.0
     assert last[-1] == pytest.approx(0.02)
     with pytest.raises(ValueError, match="position"):
@@ -166,18 +167,17 @@ def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, set_grid, seed,
              < rng.random())
     encoder = make_encoder(nsfnet, "ep" if ep else "flx")
     src, dst = rng.choice(14, size=2, replace=False)
-    req = Request(0, int(src), int(dst),
+    req = Request(int(rng.integers(0, 1000)), int(src), int(dst),
                   float(rng.uniform(25, 100)), float(rng.exponential(15.0)),
                   0.0)
-    pos = (int(rng.integers(1, 51)), 50) if ep else None
     state = encoder.encode(req, spectrum, nsfnet_paths[(src, dst)],
-                           episode_pos=pos)
+                           episode_length=50)
     assert state.shape == (encoder.length,)
     assert np.all(state >= -1.0) and np.all(state <= 1.0)
     assert state[0:14].sum() == 1.0 and state[14:28].sum() == 1.0
 
 
-def reference_encode(encoder, req, spectrum, paths, episode_pos=None):
+def reference_encode(encoder, req, spectrum, paths, episode_length=None):
     """The per-path encoder loop over ``block_spans`` arrays, kept as the
     reference ``StateEncoder.encode`` must match bit for bit."""
     n_nodes = encoder.node_count
@@ -212,8 +212,8 @@ def reference_encode(encoder, req, spectrum, paths, episode_pos=None):
             for j in range(encoder.j_blocks):
                 out[offset + 2 * j] = MISSING_BLOCK[0]
                 out[offset + 2 * j + 1] = MISSING_BLOCK[1]
-    if episode_pos is not None:
-        pos_i, pos_n = episode_pos
+    if encoder.with_position:
+        pos_i, pos_n = req.id % episode_length + 1, episode_length
         out[-1] = (pos_n - pos_i + 1) / pos_n
     return out
 
@@ -236,13 +236,13 @@ def test_vectorised_encoding_matches_per_path_reference(
         set_grid(spectrum, rng.random(shape) < fill)
         for _ in range(3):
             src, dst = pairs[int(rng.integers(len(pairs)))]
-            req = Request(trial, src, dst, float(rng.uniform(25, 100)),
+            req = Request(int(rng.integers(0, 1000)), src, dst,
+                          float(rng.uniform(25, 100)),
                           float(rng.exponential(15.0)), 0.0)
-            pos = (int(rng.integers(1, 51)), 50) if mode == "ep" else None
             paths = table[(src, dst)]
-            expected = reference_encode(encoder, req, spectrum, paths, pos)
+            expected = reference_encode(encoder, req, spectrum, paths, 50)
             assert np.array_equal(
-                encoder.encode(req, spectrum, paths, episode_pos=pos),
+                encoder.encode(req, spectrum, paths, episode_length=50),
                 expected)
     # the triangle offers fewer than K paths, NSFNET all K
     assert {len(p) for p in table.values()} == (

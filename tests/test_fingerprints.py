@@ -30,13 +30,13 @@ TRAIN_SHA256 = {
         "metrics.csv":
             "83fbe07b36b50b2ade5953b52e99109973a3c63247e0d5598981cfb2039a91b5",
         "checkpoint-final.npz":
-            "a0e9b66a68c7f796fbd7188c64c6af97744e3fc433500e09b40b8a434d5540fe",
+            "682ffe3c6948487b5d0c8b780b184e3b7ea78a9fad65dc001929c5d44f501963",
     },
     "ep": {
         "metrics.csv":
             "9112eddd9fc0129da44953919dba87e433f840aa5157923e26772b248263f05f",
         "checkpoint-final.npz":
-            "86863788cff58de2e4e2e5f4cfb37ad9c81189378d3a4664f61f345cdedab874",
+            "3600379d36578bba805982888bfe51dc81f9909bbaf09fa7915976e716a476b5",
     },
 }
 
@@ -52,33 +52,33 @@ RUN_SHA256 = {
         "metrics.csv":
             "e14aeb31cb68f7f81c5d672d68698e928b52b07f7b29ef553a0ab421849ed006",
         "checkpoint-final.npz":
-            "8d00d4e61fb639495474dbd77e76a42630820dfa3e42b3defeb9ee26bba86c65",
+            "8c432b8993b004f9037cf3ff8b9a713307fd095543bde63fe484b05a1bfdbd44",
         "checkpoint-7.npz":
-            "ea1267a6b10e06eb8fad8d1fc2126fdad8ad566c9759ff772cec60a8b98065e8",
+            "dc81d1994ef7a83bad2fddaa13030f0bc060c98f2e1bb996030882d7156e1346",
     },
     "flx-w16": {
         "metrics.csv":
             "5481f56b804eb78c307c11b6fdc78b54897d7e51a51eedf1b5999f3779ea7523",
         "checkpoint-final.npz":
-            "771264480aa4999ddc13dd8a136618c5b5e6725e561372831773cbd6f1ad143f",
+            "372b01836621ff35d1fd857b4491ca19e1e8072039e9e7e5c94189f702c934af",
         "checkpoint-7.npz":
-            "91d326e11796afe9913edd0053457f7d4f5561a34b90e685d75eb2b1c7005fdd",
+            "e3b586de8dd7febc98b1a1d6950a00f9dd533c463584df074fae8df75cfddbd4",
     },
     "ep-w3-n1": {
         "metrics.csv":
             "981f2ed002bd68dc99fba403e7c965b9d5eebf809837f7e23c68bf6967225462",
         "checkpoint-final.npz":
-            "f5ccbf7fec5068ef9589e6221bb36c06ec803d687cbe4cc670cdee9f80233d6e",
+            "f54ad0668758849948cd7f1afc58faff09615540e1d9d1262eba79891345e855",
         "checkpoint-7.npz":
-            "f8359f15927a3743dee983be928246e2748143ba41b4356932506ec3c5171c86",
+            "f99d0905163e6e834793da45861e182373e13197b1bdec590edbbad639044b96",
     },
     "flx-shared": {
         "metrics.csv":
             "e160039870022fb1a2d9828d39c511d28f99e9959472980c23abfe6e5a992354",
         "checkpoint-final.npz":
-            "e04caa54ac414ebf898855700e4881574a17878de0818f609e6b36c3f7c6774c",
+            "bb6383e6ae26fd273591e8ce285e8973d9c1d305c11a66b83ff5104085f1fc57",
         "checkpoint-7.npz":
-            "08f27c1dab64249720c938e9f650a994b1f18886c77d52b493d08ad620e4a681",
+            "2c120b18987e91edcef0366fd80bd35cd8d33cd4063b7557c343344acdf288e3",
     },
 }
 
@@ -113,7 +113,7 @@ CLI_SHA256 = {
         "summary.txt":
             "b6bcc2c8a187646f1075996130e871be680d3ae763f37c76f72c286a519dfe27",
         "checkpoint-final.npz":
-            "3dd834a16747763a883e6bc1ef75447799c5aefbc8282e85c83896c152557c93",
+            "8a32c54a3b075dd6979166b472948c6801e2861d784c8ef9c6229e732e50c9dc",
     },
     "eval": {
         "metrics.csv":

@@ -372,6 +372,37 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
                 assert pw is vw
 
 
+def test_load_checkpoint_rejects_a_damaged_file(tmp_path,
+                                                damaged_checkpoints):
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(init_params(SPEC, 0), path)
+    for damaged, named in damaged_checkpoints(path):
+        with pytest.raises(ValueError, match=named):
+            load_checkpoint(damaged)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_interrupted_checkpoint_write_keeps_the_old_file(tmp_path, monkeypatch,
+                                                        existing):
+    params = init_params(SPEC, 0)
+    path = tmp_path / "checkpoint-final.npz"
+    if existing:
+        save_checkpoint(init_params(SPEC, 1), path)
+    before = path.read_bytes() if existing else None
+
+    def interrupted_savez(file, **arrays):
+        file.write(b"PK\x03\x04 partial")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", interrupted_savez)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(params, path)
+    assert (path.read_bytes() if path.exists() else None) == before
+    # and no temporary file is left beside it
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if existing
+                                                    else [])
+
+
 def test_copy_weights_from_syncs_without_touching_adam():
     src = init_params(SPEC, 1)
     dst = init_params(SPEC, 2)

@@ -175,15 +175,17 @@ def test_ep_position_indicator_sequence(nsfnet, nsfnet_paths, tmp_path,
     seen = []
     original = StateEncoder.encode
 
-    def spy(self, req, spectrum, paths, episode_pos=None):
-        seen.append(episode_pos)
-        return original(self, req, spectrum, paths, episode_pos=episode_pos)
+    def spy(self, req, spectrum, paths, episode_length=None):
+        state = original(self, req, spectrum, paths,
+                         episode_length=episode_length)
+        seen.append((req.id % episode_length + 1, episode_length, state[-1]))
+        return state
 
     monkeypatch.setattr(StateEncoder, "encode", spy)
     small_run(nsfnet, nsfnet_paths, tmp_path, "ep", epochs=2, batch_size=3)
-    assert seen == [(1, 3), (2, 3), (3, 3)] * 2
+    assert [(i, n) for i, n, _ in seen] == [(1, 3), (2, 3), (3, 3)] * 2
     # position feature values: (N - i + 1) / N
-    assert [(n - i + 1) / n for i, n in seen[:3]] == [1.0, 2 / 3, 1 / 3]
+    assert [value for _, _, value in seen[:3]] == [1.0, 2 / 3, 1 / 3]
 
 
 def test_flx_training_cadence(nsfnet, nsfnet_paths, tmp_path):
@@ -384,11 +386,12 @@ def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
     calls = {"n": 0}
     original = StateEncoder.encode
 
-    def exploding(self, req, spectrum, paths, episode_pos=None):
+    def exploding(self, req, spectrum, paths, episode_length=None):
         calls["n"] += 1
         if calls["n"] > 12:
             raise RuntimeError("synthetic worker fault")
-        return original(self, req, spectrum, paths, episode_pos=episode_pos)
+        return original(self, req, spectrum, paths,
+                        episode_length=episode_length)
 
     monkeypatch.setattr(StateEncoder, "encode", exploding)
     # the 13th request is served by worker 0 in the seventh round
