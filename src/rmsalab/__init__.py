@@ -15,15 +15,13 @@ from .errors import ConfigError, ContractViolation, TopologyError
 from .features import StateEncoder, state_length
 from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
                         forward_policy, forward_value, init_params,
-                        load_checkpoint, policy_loss, save_checkpoint,
-                        value_loss)
+                        load_checkpoint, save_checkpoint)
 from .spectrum import NetworkSpectrum
 from .topology import (CandidatePath, Link, Topology, k_shortest_paths,
                        load_topology, modulation_for, parse_topology,
                        precompute_paths, required_slots)
 from .traffic import DepartureQueue, Request, RequestStream, TrafficConfig
-from .trainer import (TrainingConfig, TrainingResult, advantages,
-                      discounted_returns, roulette_select, run_training,
-                      sliding_window_returns)
+from .trainer import (TrainingConfig, TrainingResult, discounted_returns,
+                      roulette_select, run_training, sliding_window_returns)
 
 __version__ = "0.1.0"

@@ -89,9 +89,8 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
                           "(config key or --checkpoint)")
     try:
         params = load_checkpoint(cfg.checkpoint)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"checkpoint: cannot load {cfg.checkpoint}: {exc}"
-                          ) from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"checkpoint: {exc}") from None
     topo, paths = cfg.network()
     encoder = cfg.encoder(topo)
     if encoder.length != params.spec.input_dim:

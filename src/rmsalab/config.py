@@ -187,9 +187,6 @@ class RunConfig:
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 

@@ -12,14 +12,15 @@ architecture into a vector laid out like the parameters, and parameters
 are updated with bias-corrected Adam. All math is double precision.
 
 One layer loop, ``_forward_trace``, serves every forward pass, and
-``policy_loss`` and ``backward`` share one copy of the policy-loss
-formula, so the losses ``backward`` reports are the loss functions' bits.
+``backward`` is the one place a loss is evaluated: the ``BatchStats`` it
+returns are the only report of the policy and value losses.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import zipfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,6 +57,15 @@ class LayerSpec:
         return pairs
 
 
+def _aligned_zeros(n: int) -> np.ndarray:
+    """``n`` float64 zeros starting on a 64-byte boundary. The weight views
+    inherit ``flat``'s address, and the forward pass reads a 64-byte-aligned
+    vector measurably faster than one wherever the heap happens to put it."""
+    buf = np.zeros(n + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + n]
+
+
 class ParamSet:
     """Policy and value network parameters in one flat vector, plus Adam
     state shaped like it.
@@ -80,10 +90,10 @@ class ParamSet:
                         for shape in ((fan_in, fan_out), (fan_out,))]
         sizes = [math.prod(shape) for shape in self._shapes]
         self._offsets = np.cumsum(sizes)[:-1]
-        self.flat = np.zeros(sum(sizes))
+        self.flat = _aligned_zeros(sum(sizes))
         self.adam_step = 0
-        self.adam_m = np.zeros_like(self.flat)
-        self.adam_v = np.zeros_like(self.flat)
+        self.adam_m = _aligned_zeros(self.flat.size)
+        self.adam_v = _aligned_zeros(self.flat.size)
         (self.policy_weights, self.policy_biases, self.value_weights,
          self.value_biases) = self.layer_views(self.flat)
 
@@ -234,39 +244,6 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     return -(probs * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
 
 
-def _policy_terms(logits: np.ndarray, batch: Batch, entropy_weight: float,
-                  entropy_sign: float):
-    """Probabilities, floored log-probabilities, per-sample entropy and
-    policy loss at ``logits``; ``policy_loss`` and ``backward`` share it."""
-    probs = _softmax(logits)
-    logp = np.log(np.maximum(probs, PROB_FLOOR))
-    sample_entropy = entropy(probs)
-    idx = np.arange(len(batch.actions))
-    loss = -float(np.mean(batch.advantages * logp[idx, batch.actions]))
-    if entropy_weight:
-        loss += entropy_sign * entropy_weight * float(sample_entropy.mean())
-    return probs, logp, sample_entropy, loss
-
-
-def policy_loss(params: ParamSet, batch: Batch, entropy_weight: float,
-                entropy_sign: float = -1.0) -> float:
-    """Advantage-weighted negative log-likelihood plus entropy term.
-
-    With the default ``entropy_sign`` of -1 high entropy lowers the loss
-    (an exploration bonus); +1 flips the term to a penalty.
-    """
-    _, pres = _forward_trace(params.policy_weights, params.policy_biases,
-                             batch.states)
-    return _policy_terms(pres[-1], batch, entropy_weight, entropy_sign)[3]
-
-
-def value_loss(params: ParamSet, batch: Batch) -> float:
-    """Mean squared error of the value estimates against the returns."""
-    _, pres = _forward_trace(params.value_weights, params.value_biases,
-                             batch.states)
-    return float(np.mean((pres[-1][:, 0] - batch.returns) ** 2))
-
-
 def _backprop(weights, inputs, pres, dout, grads_w, grads_b) -> None:
     """Add one net's gradients into the ``grads_w`` / ``grads_b`` views."""
     delta = dout
@@ -281,7 +258,10 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
              entropy_sign: float = -1.0) -> tuple[np.ndarray, BatchStats]:
     """Exact gradients of both losses at the current parameters, as one
     vector laid out like ``params.flat``; a shared hidden layer gets the
-    sum of both nets' gradients."""
+    sum of both nets' gradients. The policy loss is the advantage-weighted
+    negative log-likelihood plus ``entropy_sign`` times the weighted
+    entropy (the default -1 makes it an exploration bonus); the value loss
+    is the mean squared error of the value estimates against the returns."""
     _check_input(params.spec, batch.states)
     n = len(batch.actions)
     grads = np.zeros_like(params.flat)
@@ -289,11 +269,16 @@ def backward(params: ParamSet, batch: Batch, entropy_weight: float,
 
     p_inputs, p_pres = _forward_trace(params.policy_weights,
                                       params.policy_biases, batch.states)
-    probs, logp, sample_entropy, p_loss = _policy_terms(
-        p_pres[-1], batch, entropy_weight, entropy_sign)
+    probs = _softmax(p_pres[-1])
+    logp = np.log(np.maximum(probs, PROB_FLOOR))
+    sample_entropy = entropy(probs)
+    idx = np.arange(n)
+    p_loss = -float(np.mean(batch.advantages * logp[idx, batch.actions]))
+    if entropy_weight:
+        p_loss += entropy_sign * entropy_weight * float(sample_entropy.mean())
 
     dlogits = probs * batch.advantages[:, None]
-    dlogits[np.arange(n), batch.actions] -= batch.advantages
+    dlogits[idx, batch.actions] -= batch.advantages
     if entropy_weight:
         # d(entropy)/dlogits = -p * (log p + H)
         dlogits += (entropy_sign * entropy_weight) * (
@@ -372,19 +357,24 @@ def save_checkpoint(params: ParamSet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ParamSet:
-    """The ``ParamSet`` a ``save_checkpoint`` file holds; raises
-    ``ValueError`` on another version or a vector of the wrong shape."""
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        spec = LayerSpec(*(int(data[f.name]) for f in fields(LayerSpec)))
-        params = ParamSet(spec, bool(int(data["shared_hidden"])))
-        params.adam_step = int(data["adam_step"])
-        for key in ("flat", "adam_m", "adam_v"):
-            vec = data[key]
-            if vec.shape != params.flat.shape:
-                raise ValueError(f"checkpoint array {key} has shape "
-                                 f"{vec.shape}, expected {params.flat.shape}")
-            np.copyto(getattr(params, key), vec)
+    """The ``ParamSet`` a ``save_checkpoint`` file holds. A path that cannot
+    be opened raises ``OSError``; any other file that is not a checkpoint
+    of this version raises ``ValueError``, naming the file."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
+            version = int(data["version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            spec = LayerSpec(*(int(data[f.name]) for f in fields(LayerSpec)))
+            params = ParamSet(spec, bool(int(data["shared_hidden"])))
+            params.adam_step = int(data["adam_step"])
+            for key in ("flat", "adam_m", "adam_v"):
+                vec = data[key]
+                if vec.shape != params.flat.shape:
+                    raise ValueError(
+                        f"checkpoint array {key} has shape {vec.shape}, "
+                        f"expected {params.flat.shape}")
+                np.copyto(getattr(params, key), vec)
+    except (ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"cannot load checkpoint {path}: {exc}") from None
     return params

@@ -85,9 +85,6 @@ class DepartureQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int]] = []
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def push(self, expiry: float, lightpath_id: int) -> None:
         heapq.heappush(self._heap, (expiry, lightpath_id))
 

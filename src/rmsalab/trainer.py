@@ -122,15 +122,6 @@ def sliding_window_returns(rewards, gamma: float, window: int) -> np.ndarray:
     return view @ powers
 
 
-def advantages(returns, values) -> np.ndarray:
-    """Return minus value estimate, per sample."""
-    g = np.asarray(returns, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if g.shape != v.shape:
-        raise ValueError(f"length mismatch: {g.shape} returns vs {v.shape} values")
-    return g - v
-
-
 def roulette_select(probs, rng: np.random.Generator) -> int:
     """Sample an action index: first index whose cumulative probability
     reaches a uniform draw. Floating-point shortfall at the top end
@@ -171,8 +162,6 @@ class MetricsWriter:
         values = (epoch, worker, stats.total, stats.blocked,
                   stats.window_reward(window),
                   stats.blocking_probability(window), *losses)
-        if len(values) != len(METRICS_COLUMNS):
-            raise ValueError(f"expected {len(METRICS_COLUMNS)} values")
         self._fh.write(",".join(self._fmt(v) for v in values) + "\n")
 
     def close(self) -> None:
@@ -230,7 +219,7 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
     states = np.stack([smp.state for smp in samples])
     actions = np.array([smp.action for smp in samples], dtype=np.intp)
     values = np.array([smp.value for smp in samples])
-    batch = Batch(states, actions, advantages(returns, values), returns)
+    batch = Batch(states, actions, returns - values, returns)
     grads, stats = backward(ctx.store.snapshot, batch, cfg.entropy_weight,
                             cfg.entropy_sign)
     epoch = ctx.store.apply(grads)

@@ -59,12 +59,24 @@ def set_grid():
     return _set_grid
 
 
-# ways a checkpoint file can be wrong: the key replaced, its new value
-# made from the saved one, and what the load error must name
+def _replaced(key, change):
+    """Writes the saved arrays with ``key``'s made from the saved one."""
+    return lambda path, arrays, raw: np.savez(
+        path, **{**arrays, key: change(arrays[key])})
+
+
+# ways a checkpoint file can be wrong: how a damaged copy is written from
+# the saved arrays and file bytes, and what the load error must name
 CHECKPOINT_DAMAGE = {
-    "short-flat": ("flat", lambda saved: saved[:1], "flat"),
-    "short-adam-v": ("adam_v", lambda saved: saved[:-1], "adam_v"),
-    "version-1": ("version", lambda saved: np.array(1), "version 1"),
+    "short-flat": (_replaced("flat", lambda saved: saved[:1]), "flat"),
+    "short-adam-v": (_replaced("adam_v", lambda saved: saved[:-1]),
+                     "adam_v"),
+    "version-1": (_replaced("version", lambda saved: np.array(1)),
+                  "version 1"),
+    "no-flat": (lambda path, arrays, raw: np.savez(
+        path, **{k: v for k, v in arrays.items() if k != "flat"}), "flat"),
+    "truncated": (lambda path, arrays, raw: path.write_bytes(
+        raw[:len(raw) // 2]), "not a zip file"),
 }
 
 
@@ -73,12 +85,13 @@ def damaged_checkpoints(tmp_path):
     """Writes damaged copies of a checkpoint file, one per kind of damage,
     and returns (copy path, what its load error names) pairs."""
     def damage(src):
+        raw = src.read_bytes()
         with np.load(src) as data:
             arrays = dict(data)
         copies = []
-        for name, (key, change, named) in CHECKPOINT_DAMAGE.items():
+        for name, (write, named) in CHECKPOINT_DAMAGE.items():
             path = tmp_path / f"damaged-{name}.npz"
-            np.savez(path, **{**arrays, key: change(arrays[key])})
+            write(path, arrays, raw)
             copies.append((path, named))
         return copies
     return damage

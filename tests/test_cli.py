@@ -9,7 +9,7 @@ from rmsalab.errors import ConfigError
 
 def write_config(path, **overrides):
     cfg = RunConfig(**overrides)
-    cfg.save(path)
+    path.write_text(cfg.to_text())
     return cfg
 
 
@@ -20,7 +20,7 @@ def test_config_round_trip(tmp_path):
     cfg = RunConfig(mode="ep", epochs=42, learning_rate=3e-6, seed=9,
                     share_hidden=True, topology="cost239")
     path = tmp_path / "run.cfg"
-    cfg.save(path)
+    path.write_text(cfg.to_text())
     again = load_config(path)
     assert again == cfg
     # and a second round trip is stable
@@ -226,7 +226,7 @@ def test_eval_flow_and_missing_checkpoint(tmp_path, capsys,
                        str(damaged), "--out",
                        str(tmp_path / f"eval-{damaged.stem}")) == 1
         err = capsys.readouterr().err
-        assert "checkpoint" in err and named in err
+        assert "checkpoint" in err and named in err and str(damaged) in err
 
 
 def test_eval_checkpoint_shape_mismatch(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ def test_step_accepts_on_empty_grid(nsf_env):
     assert out.path_index == 0 and out.start_slot == 0
     assert out.n_slots == required_slots(
         100.0, nsf_env.candidate_paths(req)[0].modulation, SLOT_GBPS)
-    assert len(nsf_env.departures) == 1
+    # one departure is scheduled: lightpath 0, the first one provisioned
+    assert nsf_env.release_due(math.inf) == [0]
 
 
 def test_outcome_is_a_slotted_dataclass(nsf_env):
@@ -65,12 +67,12 @@ def test_blocked_request_leaves_state_unchanged(nsfnet, nsfnet_paths):
     path = env.candidate_paths(req)[3]
     env.spectrum.allocate(path, 0, 100, lightpath_id=999)
     before = env.spectrum.dump()
-    departures_before = len(env.departures)
     out = env.step(req, action=3)
     assert not out.accepted and out.reward == -1.0
     assert out.start_slot is None and out.n_slots is None
     assert env.spectrum.dump() == before
-    assert len(env.departures) == departures_before
+    # and no departure is scheduled
+    assert env.release_due(math.inf) == []
     assert env.stats.blocked == 1
 
 

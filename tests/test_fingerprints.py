@@ -163,7 +163,7 @@ def test_lockstep_and_shared_trunk_artifacts(nsfnet_network, tmp_path, run):
 
 def test_cli_artifacts(tmp_path):
     cfg_path = tmp_path / "run.cfg"
-    RunConfig(**CLI_SETTINGS).save(cfg_path)
+    cfg_path.write_text(RunConfig(**CLI_SETTINGS).to_text())
     got = {}
     for run, args in CLI_RUNS.items():
         args = [arg.format(train=tmp_path / "train") for arg in args]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rmsalab.errors import ContractViolation
-from rmsalab.neuralnet import (Batch, BatchStats, LayerSpec, adam_apply,
-                               backward, entropy, forward_policy,
-                               forward_value, init_params, load_checkpoint,
-                               policy_loss, save_checkpoint, value_loss, _elu)
+from rmsalab.neuralnet import (Batch, LayerSpec, adam_apply, backward,
+                               entropy, forward_policy, forward_value,
+                               init_params, load_checkpoint, save_checkpoint,
+                               _elu)
 
 SPEC = LayerSpec(input_dim=54, hidden_layers=5, hidden_width=128,
                  action_count=5)
@@ -115,26 +115,32 @@ def two_action_uniform_params():
     return zeroed(LayerSpec(3, 1, 4, 2))
 
 
+def losses(params, batch, entropy_weight=0.0, entropy_sign=-1.0):
+    """The (policy, value) losses ``backward`` reports."""
+    stats = backward(params, batch, entropy_weight, entropy_sign)[1]
+    return stats.policy_loss, stats.value_loss
+
+
 def test_policy_loss_single_sample_no_entropy():
     params = two_action_uniform_params()
     batch = batch_of([[0.0, 0.0, 0.0]], [0], [1.0], [0.0])
-    assert policy_loss(params, batch, 0.0) == pytest.approx(math.log(2.0))
+    assert losses(params, batch)[0] == pytest.approx(math.log(2.0))
 
 
 def test_policy_loss_entropy_bonus_lowers_loss():
     params = two_action_uniform_params()
     batch = batch_of([[0.0, 0.0, 0.0]], [0], [1.0], [0.0])
     expected = math.log(2.0) - 0.01 * math.log(2.0)
-    assert policy_loss(params, batch, 0.01) == pytest.approx(expected)
+    assert losses(params, batch, 0.01)[0] == pytest.approx(expected)
     literal = math.log(2.0) + 0.01 * math.log(2.0)
-    assert policy_loss(params, batch, 0.01,
-                       entropy_sign=1.0) == pytest.approx(literal)
+    assert losses(params, batch, 0.01,
+                  entropy_sign=1.0)[0] == pytest.approx(literal)
 
 
 def test_policy_loss_zero_advantages():
     params = two_action_uniform_params()
     batch = batch_of([[0.0] * 3] * 4, [0, 1, 0, 1], [0.0] * 4, [0.0] * 4)
-    assert policy_loss(params, batch, 0.0) == 0.0
+    assert losses(params, batch)[0] == 0.0
 
 
 def test_value_loss_examples():
@@ -142,12 +148,12 @@ def test_value_loss_examples():
     params = zeroed(spec)
     params.value_biases[-1][0] = 0.5  # constant value estimate of 0.5
     batch = batch_of([[0.0] * 3], [0], [0.0], [1.0])
-    assert value_loss(params, batch) == pytest.approx(0.25)
+    assert losses(params, batch)[1] == pytest.approx(0.25)
     batch_eq = batch_of([[0.0] * 3] * 3, [0] * 3, [0.0] * 3, [0.5] * 3)
-    assert value_loss(params, batch_eq) == 0.0
+    assert losses(params, batch_eq)[1] == 0.0
     params.value_biases[-1][0] = 0.0
     two = batch_of([[0.0] * 3] * 2, [0, 1], [0.0] * 2, [1.0, 0.0])
-    assert value_loss(params, two) == pytest.approx(0.5)
+    assert losses(params, two)[1] == pytest.approx(0.5)
 
 
 # --- gradients ------------------------------------------------------------
@@ -163,8 +169,7 @@ def finite_difference_check(shared, entropy_sign):
     pairs = zip(params.views(params.flat), params.views(grads))
 
     def total_loss():
-        return (policy_loss(params, batch, 0.01, entropy_sign)
-                + value_loss(params, batch))
+        return sum(losses(params, batch, 0.01, entropy_sign))
 
     h = 1e-5
     worst = 0.0
@@ -215,23 +220,13 @@ def test_perfectly_fit_value_gives_zero_value_gradient():
         assert np.allclose(g, 0.0)
 
 
-def test_backward_stats_match_loss_functions():
-    rng = np.random.default_rng(4)
-    params = init_params(LayerSpec(5, 2, 7, 3), 8, head_scale=1.0)
-    batch = batch_of(rng.normal(size=(9, 5)), rng.integers(0, 3, 9),
-                     rng.normal(size=9), rng.normal(size=9))
-    _, stats = backward(params, batch, 0.01)
-    assert stats.policy_loss == pytest.approx(policy_loss(params, batch, 0.01))
-    assert stats.value_loss == pytest.approx(value_loss(params, batch))
-
-
 @pytest.mark.parametrize("entropy_weight", [0.0, 0.01])
 @pytest.mark.parametrize("entropy_sign", [-1.0, 1.0])
 @pytest.mark.parametrize("shared", [False, True])
 def test_backward_stats_equal_loss_functions_exactly(shared, entropy_sign,
                                                      entropy_weight):
-    # metrics.csv records the BatchStats bits, so they must be the loss
-    # functions' own bits, not merely close to them
+    # metrics.csv records the BatchStats bits, so the entropy must be the
+    # entropy function's own bits, not merely close to them
     rng = np.random.default_rng(12)
     params = init_params(LayerSpec(5, 2, 7, 3), 8, shared_hidden=shared,
                          head_scale=1.0)
@@ -240,9 +235,7 @@ def test_backward_stats_equal_loss_functions_exactly(shared, entropy_sign,
     _, stats = backward(params, batch, entropy_weight, entropy_sign)
     # the whole row stack in one call, as backward runs it
     probs = forward_policy(params, batch.states)
-    assert stats == BatchStats(
-        policy_loss(params, batch, entropy_weight, entropy_sign),
-        value_loss(params, batch), float(np.mean(entropy(probs))))
+    assert stats.entropy == float(np.mean(entropy(probs)))
 
 
 # --- Adam -----------------------------------------------------------------
@@ -377,8 +370,18 @@ def test_load_checkpoint_rejects_a_damaged_file(tmp_path,
     path = tmp_path / "ckpt.npz"
     save_checkpoint(init_params(SPEC, 0), path)
     for damaged, named in damaged_checkpoints(path):
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=named) as err:
             load_checkpoint(damaged)
+        assert str(damaged) in str(err.value)
+
+
+def test_vectors_start_on_64_byte_boundaries(tmp_path):
+    params = init_params(SPEC, 3)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(params, path)
+    for made in (params, params.clone(), load_checkpoint(path)):
+        for vec in (made.flat, made.adam_m, made.adam_v):
+            assert vec.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,8 +126,9 @@ def test_pop_expired_in_time_order():
     queue.push(1.0, 10)
     queue.push(2.0, 20)
     assert queue.pop_expired(2.0) == [10, 20]
-    assert len(queue) == 1
+    assert queue.pop_expired(2.0) == []
     assert queue.pop_expired(10.0) == [30]
+    assert queue.pop_expired(math.inf) == []
 
 
 def test_pop_expired_empty_queue():

@@ -11,7 +11,7 @@ from rmsalab.errors import ContractViolation
 from rmsalab.features import StateEncoder
 from rmsalab.neuralnet import (LayerSpec, forward_policy, forward_value,
                                init_params, load_checkpoint)
-from rmsalab.trainer import (advantages, discounted_returns, roulette_select,
+from rmsalab.trainer import (discounted_returns, roulette_select,
                              sliding_window_returns)
 
 
@@ -68,13 +68,6 @@ def test_sliding_window_constant_rewards_all_equal():
 def test_sliding_window_needs_enough_rewards():
     with pytest.raises(ValueError):
         sliding_window_returns(np.ones(10), 0.95, 50)
-
-
-def test_advantages():
-    assert advantages([1.0], [0.6])[0] == pytest.approx(0.4)
-    assert advantages([2.0, 3.0], [2.0, 3.0]).tolist() == [0.0, 0.0]
-    with pytest.raises(ValueError, match="mismatch"):
-        advantages([1.0, 2.0], [1.0])
 
 
 # --- roulette -------------------------------------------------------------
@@ -247,7 +240,7 @@ def test_acting_and_values_use_the_last_synced_snapshot(
     real_step = trainer_mod.actor_step
     real_encode = StateEncoder.encode
     real_roulette = trainer_mod.roulette_select
-    real_advantages = trainer_mod.advantages
+    real_train = trainer_mod._train_batch
 
     def init(self, *args):
         real_init(self, *args)
@@ -272,21 +265,21 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         counts["probs"] += 1
         return real_roulette(probs, rng)
 
-    def advantages(returns, values):
+    def train_batch(actor, ctx, samples, returns):
         queue = acted[now["worker"]]
-        assert len(values) == batch_size
-        for value, (state, params) in zip(values, queue):
-            assert value == forward_value(params, state)
+        assert len(samples) == batch_size
+        for smp, (state, params) in zip(samples, queue):
+            assert smp.value == forward_value(params, state)
         del queue[:batch_size]
         counts["values"] += batch_size
-        return real_advantages(returns, values)
+        real_train(actor, ctx, samples, returns)
 
     monkeypatch.setattr(trainer_mod.ParamStore, "__init__", init)
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
     monkeypatch.setattr(trainer_mod, "actor_step", actor_step)
     monkeypatch.setattr(StateEncoder, "encode", encode)
     monkeypatch.setattr(trainer_mod, "roulette_select", roulette_select)
-    monkeypatch.setattr(trainer_mod, "advantages", advantages)
+    monkeypatch.setattr(trainer_mod, "_train_batch", train_batch)
     result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=8,
                        batch_size=batch_size, workers=workers)
     assert counts == {"probs": result.total_requests,
