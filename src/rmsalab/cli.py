@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,15 @@ from .trainer import METRICS_COLUMNS, MetricsWriter, pooled_trailing_blocking
 
 
 def _write_summary(out_dir: Path, cfg: RunConfig, label: str, entries: dict,
-                   pooled: int, trailing: float) -> None:
-    """Write ``summary.txt``: label, mode and seed, ``entries``, then the
+                   total: int, blocked: int, pooled: int,
+                   trailing: float) -> None:
+    """Write ``summary.txt``: label, mode, seed, ``entries``, the request
+    and blocked counts and their share (``nan`` for no requests), then the
     blocking share ``trailing`` over the ``pooled`` trailing requests."""
     entries = {"run": label, "mode": cfg.mode, "seed": cfg.seed, **entries,
+               "requests_total": total, "requests_blocked": blocked,
+               "blocking_probability":
+                   blocked / total if total else float("nan"),
                f"trailing_blocking_{pooled}": trailing}
     (out_dir / "summary.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in entries.items()))
@@ -49,26 +55,20 @@ def _simulate(cfg: RunConfig, env: RmsaEnv, out_dir: Path, decide,
                 metrics.write_row(i // 1000, 0, env.stats, cfg.metrics_window)
     finally:
         metrics.close()
-    blocking = env.stats.blocking_probability()
-    _write_summary(out_dir, cfg, label, {
-        "requests_total": env.stats.total,
-        "requests_blocked": env.stats.blocked,
-        "blocking_probability": blocking,
-    }, *pooled_trailing_blocking([env.stats], cfg.stats_window))
-    print(f"{label}: blocking probability {blocking:.6f} "
-          f"over {env.stats.total} requests")
+    stats = env.stats
+    _write_summary(out_dir, cfg, label, {}, stats.total, stats.blocked,
+                   *pooled_trailing_blocking([stats], cfg.stats_window))
+    print(f"{label}: blocking probability {stats.blocking_probability():.6f} "
+          f"over {stats.total} requests")
 
 
 def cmd_train(cfg: RunConfig, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.used").write_text(cfg.to_text())
     result = cfg.train(*cfg.network(), out_dir=out_dir, progress=True)
-    _write_summary(out_dir, cfg, "train", {
-        "epochs": result.final_epoch,
-        "requests_total": result.total_requests,
-        "requests_blocked": result.total_blocked,
-        "blocking_probability": result.blocking_probability,
-    }, *result.trailing_blocking)
+    _write_summary(out_dir, cfg, "train", {"epochs": result.final_epoch},
+                   result.total_requests, result.total_blocked,
+                   *result.trailing_blocking)
     print(f"train[{cfg.mode}]: {result.final_epoch} epochs, "
           f"{result.total_requests} requests, "
           f"blocking {result.blocking_probability:.6f} "
@@ -115,6 +115,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _read_metrics(path: Path) -> list[dict]:
+    parsed = {"epoch": int, "blocking_prob": float, "value_loss": float}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -134,11 +135,8 @@ def _read_metrics(path: Path) -> list[dict]:
                     f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} "
                     f"fields, got {len(row)}")
             try:
-                rows.append({
-                    "epoch": int(row[0]),
-                    "blocking_prob": float(row[5]),
-                    "value_loss": float(row[7]),
-                })
+                rows.append({name: parse(row[METRICS_COLUMNS.index(name)])
+                             for name, parse in parsed.items()})
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: malformed row {row}"
                                   ) from None
@@ -168,14 +166,11 @@ def cmd_summarize(paths: list[Path], tail: int) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        cfg.mode = args.mode
-    if getattr(args, "epochs", None) is not None:
-        cfg.epochs = args.epochs
-    if getattr(args, "checkpoint", None) is not None:
-        cfg.checkpoint = args.checkpoint
+    """Copy each given flag that is named after a ``RunConfig`` field."""
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -200,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="artifact directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--mode", choices=modes, default=None)
-        p.add_argument("--epochs", type=int, default=None)
+        if name == "train":
+            p.add_argument("--epochs", type=int, default=None)
         if name == "eval":
             p.add_argument("--checkpoint", default=None,
                            help="parameter checkpoint to load")

@@ -24,12 +24,12 @@ from .errors import ConfigError, TopologyError
 from .features import StateEncoder
 from .topology import Topology, load_topology, precompute_paths
 from .traffic import TrafficConfig
-from .trainer import TrainingConfig, TrainingResult, run_training
+from .trainer import (ENTROPY_SIGNS, TrainingConfig, TrainingResult,
+                      run_training)
 
 LEARNING_MODES = ("ep", "flx")
 BASELINE_MODES = ("spff", "kspff")
 MODES = LEARNING_MODES + BASELINE_MODES
-ENTROPY_SIGNS = {"bonus": -1.0, "literal": 1.0}
 
 
 @dataclass
@@ -113,25 +113,20 @@ class RunConfig:
         return ((4, self.reach_16qam), (3, self.reach_8qam),
                 (2, self.reach_qpsk), (1, math.inf))
 
-    def traffic(self) -> TrafficConfig:
+    def _view(self, cls):
+        """A ``cls`` holding this validated config's same-named fields."""
         self.validate()
-        return TrafficConfig(self.arrival_rate, self.mean_duration,
-                             self.bandwidth_min, self.bandwidth_max)
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
+    def traffic(self) -> TrafficConfig:
+        return self._view(TrafficConfig)
 
     def training(self) -> TrainingConfig:
-        self.validate()
         if self.mode not in LEARNING_MODES:
             raise ConfigError(
                 f"mode: {self.mode!r} is not a learning mode "
                 f"({'|'.join(LEARNING_MODES)})")
-        return TrainingConfig(
-            epochs=self.epochs, gamma=self.gamma,
-            entropy_weight=self.entropy_weight, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, worker_count=self.workers,
-            mode=self.mode, seed=self.seed,
-            entropy_sign=ENTROPY_SIGNS[self.entropy_sign],
-            grad_clip=self.grad_clip, checkpoint_every=self.checkpoint_every,
-            metrics_window=self.metrics_window)
+        return self._view(TrainingConfig)
 
     def load_topology(self) -> Topology:
         """The configured topology; one that is missing or malformed is a

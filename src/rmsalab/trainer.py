@@ -41,6 +41,7 @@ lockstep schedule never does this.
 
 from __future__ import annotations
 
+import csv
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -64,20 +65,25 @@ METRICS_COLUMNS = ("epoch", "worker", "requests_total", "requests_blocked",
                    "value_loss", "entropy")
 
 
+# entropy_sign setting -> sign of the weighted entropy in the policy loss
+ENTROPY_SIGNS = {"bonus": -1.0, "literal": 1.0}
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Learning-loop settings, derived and validated by
-    ``RunConfig.training()``."""
+    ``RunConfig.training()``. Each field is the ``RunConfig`` setting of
+    the same name, with the same value."""
 
     epochs: int
     gamma: float
     entropy_weight: float
     batch_size: int
     learning_rate: float
-    worker_count: int
+    workers: int
     mode: str
     seed: int
-    entropy_sign: float
+    entropy_sign: str
     grad_clip: float
     checkpoint_every: int
     metrics_window: int
@@ -145,24 +151,17 @@ class MetricsWriter:
     """Append-only CSV stream."""
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._fh.write(",".join(METRICS_COLUMNS) + "\n")
-
-    @staticmethod
-    def _fmt(value) -> str:
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        return repr(float(value))
+        self._fh = open(path, "w", encoding="utf-8")
+        self._rows = csv.writer(self._fh, lineterminator="\n")
+        self._rows.writerow(METRICS_COLUMNS)
 
     def write_row(self, epoch: int, worker: int, stats: BlockingStats,
                   window: int, losses=(0.0, 0.0, 0.0)) -> None:
         """One row: the counts, reward and blocking share of ``stats`` over
         its trailing ``window`` requests, then (policy, value, entropy)."""
-        values = (epoch, worker, stats.total, stats.blocked,
-                  stats.window_reward(window),
-                  stats.blocking_probability(window), *losses)
-        self._fh.write(",".join(self._fmt(v) for v in values) + "\n")
+        self._rows.writerow((epoch, worker, stats.total, stats.blocked,
+                             stats.window_reward(window),
+                             stats.blocking_probability(window), *losses))
 
     def close(self) -> None:
         self._fh.close()
@@ -221,7 +220,7 @@ def _train_batch(actor: Actor, ctx: WorkerContext,
     values = np.array([smp.value for smp in samples])
     batch = Batch(states, actions, returns - values, returns)
     grads, stats = backward(ctx.store.snapshot, batch, cfg.entropy_weight,
-                            cfg.entropy_sign)
+                            ENTROPY_SIGNS[cfg.entropy_sign])
     epoch = ctx.store.apply(grads)
     if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
             and ctx.out_dir is not None):
@@ -346,7 +345,7 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                       slot_capacity_gbps=slot_capacity_gbps,
                       stats_window=stats_window),
               np.random.default_rng([cfg.seed, worker_id, 0xA5]))
-        for worker_id in range(cfg.worker_count)]
+        for worker_id in range(cfg.workers)]
     metrics = MetricsWriter(out_path / "metrics.csv") if out_path else None
     ctx = WorkerContext(cfg=cfg, encoder=encoder, store=store,
                         metrics=metrics, out_dir=out_path)

@@ -1,3 +1,12 @@
+import os
+
+# The fingerprint pins hold bit-exact float arithmetic, and OpenBLAS picks
+# its kernel from the CPU at run time, so the same code rounds differently
+# on different CPUs. The pins are recorded under the Haswell kernel: it
+# needs only AVX2, and OPENBLAS_CORETYPE=Zen selects it as well.
+# OpenBLAS reads the variable once, when numpy is first imported.
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+
 import numpy as np
 import pytest
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,17 @@ def test_comments_and_blank_lines_ignored():
     assert cfg.seed == 5
 
 
+def test_derived_views_hold_the_same_named_settings():
+    cfg = RunConfig(mode="ep", epochs=7, gamma=0.9, entropy_weight=0.02,
+                    batch_size=8, learning_rate=2e-5, workers=3, seed=5,
+                    entropy_sign="literal", grad_clip=1.5, checkpoint_every=4,
+                    metrics_window=20, arrival_rate=8.0, mean_duration=12.0,
+                    bandwidth_min=30.0, bandwidth_max=90.0)
+    for view in (cfg.training(), cfg.traffic()):
+        for f in fields(view):
+            assert getattr(view, f.name) == getattr(cfg, f.name), f.name
+
+
 def test_training_config_requires_learning_mode():
     cfg = RunConfig(mode="kspff")
     with pytest.raises(ConfigError, match="learning mode"):
@@ -132,18 +145,57 @@ def test_summarize_single_run_has_no_delta(tmp_path, capsys):
 
 
 def test_summarize_malformed_row_reports_line(tmp_path, capsys):
-    bad = tmp_path / "metrics.csv"
-    bad.write_text("epoch,worker,some_other_column\n1,0,2\n")
-    assert run_cli("summarize", str(bad)) == 1
-    path2 = tmp_path / "metrics2.csv"
-    path2.write_text(
-        "epoch,worker,requests_total,requests_blocked,cum_reward_1k,"
-        "blocking_prob,policy_loss,value_loss,entropy\n"
-        "1,0,50,1,48.0,0.02,0.1,0.2,1.5\n"
-        "2,0,oops,1,48.0,0.02,0.1,0.2\n")
-    assert run_cli("summarize", str(path2)) == 1
-    err = capsys.readouterr().err
-    assert ":3" in err
+    header = ("epoch,worker,requests_total,requests_blocked,cum_reward_1k,"
+              "blocking_prob,policy_loss,value_loss,entropy\n")
+    good_row = "1,0,50,1,48.0,0.02,0.1,0.2,1.5\n"
+    # file text -> what the error names
+    cases = {
+        "epoch,worker,some_other_column\n1,0,2\n": "unexpected header",
+        header + good_row + "2,0,oops,1,48.0,0.02,0.1,0.2\n": ":3",
+        "": "empty metrics file",
+        header: "no data rows",
+        header + good_row.replace("\n", ",9\n"): ":2: expected 9 fields",
+    }
+    for i, (text, named) in enumerate(cases.items()):
+        bad = tmp_path / f"metrics{i}.csv"
+        bad.write_text(text)
+        assert run_cli("summarize", str(bad)) == 1
+        assert named in capsys.readouterr().err
+
+
+def test_train_with_zero_epochs_reports_nan_blocking(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="flx", epochs=0, batch_size=5, workers=1,
+                 hidden_layers=2, hidden_width=8, stats_window=2000,
+                 metrics_window=100)
+    out = tmp_path / "train"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert "requests_total = 0" in summary
+    assert "blocking_probability = nan" in summary
+
+
+def test_train_flags_override_the_config(tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="flx", epochs=40, batch_size=5, workers=1,
+                 hidden_layers=2, hidden_width=8, stats_window=2000,
+                 metrics_window=100)
+    out = tmp_path / "train"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out),
+                   "--seed", "7", "--epochs", "3") == 0
+    used = load_config(out / "config.used")
+    assert (used.seed, used.epochs) == (7, 3)
+    assert "epochs = 3" in (out / "summary.txt").read_text().splitlines()
+
+
+def test_epochs_flag_is_train_only(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", num_requests=1000)
+    for command in ("baseline", "eval"):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(command, "--config", str(cfg_path), "--epochs", "3")
+        assert exit_info.value.code == 2
+        assert "--epochs" in capsys.readouterr().err
 
 
 def test_train_tiny_run_artifacts(tmp_path):

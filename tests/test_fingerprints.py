@@ -11,7 +11,12 @@ episode-mode training run and a greedy eval of its checkpoint, on
 settings away from the defaults so that a setting passed to the wrong
 place changes a hash. The training hashes pin bit-exact float
 arithmetic, so a numpy or BLAS build that rounds differently can change
-them without any change to this package.
+them without any change to this package. They are recorded under
+OpenBLAS's Haswell kernel, which ``conftest.py`` selects
+(``OPENBLAS_CORETYPE=Haswell``) before numpy loads: OpenBLAS picks its
+kernel from the CPU at run time, and the SkylakeX kernel an AVX-512 CPU
+gets rounds differently. The baseline counts and the CLI baseline and
+eval hashes hold under either kernel.
 """
 
 import hashlib
@@ -28,15 +33,15 @@ TRAIN_EPOCHS = 20
 TRAIN_SHA256 = {
     "flx": {
         "metrics.csv":
-            "83fbe07b36b50b2ade5953b52e99109973a3c63247e0d5598981cfb2039a91b5",
+            "cae7598aa270541f9506cc48df1f06e93a562c940416ce6d9e6a0380ea631d42",
         "checkpoint-final.npz":
-            "682ffe3c6948487b5d0c8b780b184e3b7ea78a9fad65dc001929c5d44f501963",
+            "46bdbc668d05e16ecfddba7801d9bde0f84b7220ff72c9c82b7c32b03d917bd8",
     },
     "ep": {
         "metrics.csv":
-            "9112eddd9fc0129da44953919dba87e433f840aa5157923e26772b248263f05f",
+            "1d2da112009ac041213a5cb93fc9ff5b2428806db45bcf8050037de59b06ea21",
         "checkpoint-final.npz":
-            "3600379d36578bba805982888bfe51dc81f9909bbaf09fa7915976e716a476b5",
+            "03a99fc0eeaf6334a7c4189291f301d014111e465528968a7736f8ec1d52c81f",
     },
 }
 
@@ -50,35 +55,35 @@ RUN_SETTINGS = {
 RUN_SHA256 = {
     "flx-w2": {
         "metrics.csv":
-            "e14aeb31cb68f7f81c5d672d68698e928b52b07f7b29ef553a0ab421849ed006",
+            "bbe3e219f0bb36ba830030f3b1ac50884d89c509b808e5b5f72b7601b613871f",
         "checkpoint-final.npz":
-            "8c432b8993b004f9037cf3ff8b9a713307fd095543bde63fe484b05a1bfdbd44",
+            "f8ccbab8d95a3ddf65b1e2571aee12d996571d1bb4b1c5bb5f738002d86310ae",
         "checkpoint-7.npz":
-            "dc81d1994ef7a83bad2fddaa13030f0bc060c98f2e1bb996030882d7156e1346",
+            "3a4194ff7c662dddfb9056da7fd618c9b8f033a921d609e6cba6720f88d3589c",
     },
     "flx-w16": {
         "metrics.csv":
             "5481f56b804eb78c307c11b6fdc78b54897d7e51a51eedf1b5999f3779ea7523",
         "checkpoint-final.npz":
-            "372b01836621ff35d1fd857b4491ca19e1e8072039e9e7e5c94189f702c934af",
+            "ae674f0f09ea00109b5fc41145ad33bf1b0bf38b2b487fa39eac5ac294eed734",
         "checkpoint-7.npz":
-            "e3b586de8dd7febc98b1a1d6950a00f9dd533c463584df074fae8df75cfddbd4",
+            "7f10aff67f5ec99d868f67b9b532157f762a40cbdff66aaeb1a8f27b264f47cd",
     },
     "ep-w3-n1": {
         "metrics.csv":
-            "981f2ed002bd68dc99fba403e7c965b9d5eebf809837f7e23c68bf6967225462",
+            "a97c2469efcae510f33cef3ef5cf38dd212e7d2f41387f06d8f2158ad95e6750",
         "checkpoint-final.npz":
-            "f54ad0668758849948cd7f1afc58faff09615540e1d9d1262eba79891345e855",
+            "376693d76b66b20d2207174140438193a86d76cc354ae84a107fc7f103c63e58",
         "checkpoint-7.npz":
-            "f99d0905163e6e834793da45861e182373e13197b1bdec590edbbad639044b96",
+            "b33aaf4e03bc9e7e59dc0ce3be6a05cd4fc8fbfdb3333cc0b8d006a7ebf54b70",
     },
     "flx-shared": {
         "metrics.csv":
-            "e160039870022fb1a2d9828d39c511d28f99e9959472980c23abfe6e5a992354",
+            "ea193a9fea0e5dc02791e78654647b0bda74251ca20fcb903e22b7f075b7aa5e",
         "checkpoint-final.npz":
-            "bb6383e6ae26fd273591e8ce285e8973d9c1d305c11a66b83ff5104085f1fc57",
+            "485c0dbfd6c7622b818b95b9a53bd6923a42acbae1dfb8d0f1e55973c897d939",
         "checkpoint-7.npz":
-            "2c120b18987e91edcef0366fd80bd35cd8d33cd4063b7557c343344acdf288e3",
+            "f799464f6e584ea63264dd5aeee29d75bc0791289da795ca2f1c1e17c48c39b7",
     },
 }
 
@@ -113,7 +118,7 @@ CLI_SHA256 = {
         "summary.txt":
             "b6bcc2c8a187646f1075996130e871be680d3ae763f37c76f72c286a519dfe27",
         "checkpoint-final.npz":
-            "8a32c54a3b075dd6979166b472948c6801e2861d784c8ef9c6229e732e50c9dc",
+            "409e8aac19ed6dfa9186c3bda880186495ca6dd24bfc9a02374d1ec7383cc381",
     },
     "eval": {
         "metrics.csv":
