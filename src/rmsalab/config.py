@@ -160,8 +160,7 @@ class RunConfig:
                             bandwidth_max_gbps=self.bandwidth_max)
 
     def train(self, topology: Topology, paths,
-              out_dir: str | Path | None = None,
-              progress: bool = False) -> TrainingResult:
+              out_dir: str | Path, progress: bool = False) -> TrainingResult:
         """One ``run_training`` call on this config's settings."""
         return run_training(
             self.training(), topology, paths, self.traffic(),

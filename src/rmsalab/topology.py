@@ -120,16 +120,16 @@ def parse_topology(text: str, slot_count: int,
     """Parse the line-oriented topology format.
 
     First meaningful line is ``nodes <count>``; each following line is
-    ``link <id> <nodeA> <nodeB> <length_km>``. Blank lines and ``#``
-    comments are ignored. Node ids are integers in ``[0, count)``, link
-    ids in ``[0, number of links)``, and lengths finite and positive;
-    ``Topology`` checks each link.
+    ``link <id> <nodeA> <nodeB> <length_km>``. ``#`` starts a comment
+    anywhere on a line; blank lines are ignored. Node ids are integers in
+    ``[0, count)``, link ids in ``[0, number of links)``, and lengths
+    finite and positive; ``Topology`` checks each link.
     """
     num_nodes: int | None = None
     links: list[Link] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         fields = line.split()
         if num_nodes is None:
@@ -253,9 +253,8 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
         raise ValueError(f"k must be positive, got {k}")
 
     lengths = {ln.id: ln.length_km for ln in topo.links}
+    # a Topology is connected, so every node pair has a first path
     first = _lex_shortest(topo, src, dst, frozenset(), frozenset())
-    if first is None:
-        return []
     accepted: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [first]
     seen: set[tuple[int, ...]] = {first[1]}
     candidates: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []

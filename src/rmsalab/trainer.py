@@ -1,14 +1,15 @@
 """Lockstep actor-learner training loop.
 
-W actors share one global parameter set and act on one behaviour
-snapshot of it. Each actor owns a private environment, demand stream,
-action RNG and sample buffer. Training runs in rounds on one thread: in
-each round every actor, in worker order, serves one request, and an
-actor whose buffer reaches its trigger trains at once, so gradients are
-applied in a fixed order and a run is reproducible from its seed. One
-epoch is one gradient application; the run stops as soon as the
-configured epoch count is reached. Two return rules exist, and both
-train on the first N buffered samples:
+W actors share one object, a ``ParamStore``: the global parameter set,
+the behaviour snapshot of it that they all act on, the settings, the
+state encoder and the run's outputs. Each actor owns a private
+environment, demand stream, action RNG and sample buffer. Training runs
+in rounds on one thread: in each round every actor, in worker order,
+serves one request, and an actor whose buffer reaches its trigger trains
+at once, so gradients are applied in a fixed order and a run is
+reproducible from its seed. One epoch is one gradient application; the
+run stops as soon as the configured epoch count is reached. Two return
+rules exist, and both train on the first N buffered samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
   state carries the request's position within it, and the return of the
@@ -168,11 +169,18 @@ class MetricsWriter:
 
 
 class ParamStore:
-    """The global parameters and the behaviour snapshot, with its epoch."""
+    """The one object the W actors share: the run's ``TrainingConfig`` and
+    state encoder, the global parameters, the behaviour snapshot with the
+    epoch it was copied at, the metrics stream and the output directory."""
 
-    def __init__(self, params: ParamSet, cfg: TrainingConfig):
+    def __init__(self, params: ParamSet, cfg: TrainingConfig,
+                 encoder: StateEncoder, metrics: MetricsWriter,
+                 out_dir: Path):
         self.params = params
-        self._cfg = cfg
+        self.cfg = cfg
+        self.encoder = encoder
+        self.metrics = metrics
+        self.out_dir = out_dir
         self.snapshot = params.clone()
         self.snapshot_epoch = self.epoch
 
@@ -186,20 +194,9 @@ class ParamStore:
 
     def apply(self, grads: np.ndarray) -> int:
         """Adam-update the global set; returns the new epoch number."""
-        cfg = self._cfg
+        cfg = self.cfg
         adam_apply(self.params, grads, cfg.learning_rate, cfg.grad_clip)
         return self.epoch
-
-
-@dataclass
-class WorkerContext:
-    """What every actor shares: the parameter store and the run's outputs."""
-
-    cfg: TrainingConfig
-    encoder: StateEncoder
-    store: ParamStore
-    metrics: MetricsWriter | None
-    out_dir: Path | None
 
 
 @dataclass
@@ -212,27 +209,7 @@ class Actor:
     buffer: list[ExperienceSample] = field(default_factory=list)
 
 
-def _train_batch(actor: Actor, ctx: WorkerContext,
-                 samples: list[ExperienceSample], returns: np.ndarray) -> None:
-    cfg = ctx.cfg
-    states = np.stack([smp.state for smp in samples])
-    actions = np.array([smp.action for smp in samples], dtype=np.intp)
-    values = np.array([smp.value for smp in samples])
-    batch = Batch(states, actions, returns - values, returns)
-    grads, stats = backward(ctx.store.snapshot, batch, cfg.entropy_weight,
-                            ENTROPY_SIGNS[cfg.entropy_sign])
-    epoch = ctx.store.apply(grads)
-    if (cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0
-            and ctx.out_dir is not None):
-        save_checkpoint(ctx.store.params,
-                        ctx.out_dir / f"checkpoint-{epoch}.npz")
-    if ctx.metrics is not None:
-        ctx.metrics.write_row(
-            epoch, actor.worker_id, actor.env.stats, cfg.metrics_window,
-            (stats.policy_loss, stats.value_loss, stats.entropy))
-
-
-def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
+def actor_step(actor: Actor, store: ParamStore, trigger: int,
                returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
     """Serve one request for ``actor`` under a return rule.
 
@@ -240,12 +217,12 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
     global parameters have moved since it was copied; once the buffer
     holds ``trigger`` samples, the samples without a value estimate get
     one in a single stacked pass, and ``returns_fn(rewards, gamma)`` gives
-    the returns of the first N, which are trained on and dropped.
+    the returns of the first N: their gradient is applied, the metrics row
+    and any due checkpoint are written, and the N samples are dropped.
     """
-    cfg = ctx.cfg
+    cfg = store.cfg
     n = cfg.batch_size
     buffer = actor.buffer
-    store = ctx.store
     if len(buffer) == trigger - n and store.snapshot_epoch != store.epoch:
         if any(smp.value is None for smp in buffer):
             raise ContractViolation(
@@ -256,32 +233,46 @@ def actor_step(actor: Actor, ctx: WorkerContext, trigger: int,
         store.snapshot_epoch = store.epoch
     env = actor.env
     req = env.arrive()
-    state = ctx.encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                               episode_length=n)
+    state = store.encoder.encode(req, env.spectrum, env.candidate_paths(req),
+                                 episode_length=n)
     probs = forward_policy(store.snapshot, state)
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
     buffer.append(ExperienceSample(state, action, outcome.reward))
     if len(buffer) == trigger:
         pending = [smp for smp in buffer if smp.value is None]
-        values = forward_value(store.snapshot,
-                               np.stack([smp.state for smp in pending]))
-        for smp, value in zip(pending, values.tolist()):
+        estimates = forward_value(store.snapshot,
+                                  np.stack([smp.state for smp in pending]))
+        for smp, value in zip(pending, estimates.tolist()):
             smp.value = value
         rewards = np.array([smp.reward for smp in buffer])
-        _train_batch(actor, ctx, buffer[:n], returns_fn(rewards, cfg.gamma))
+        returns = returns_fn(rewards, cfg.gamma)
+        samples = buffer[:n]
+        states = np.stack([smp.state for smp in samples])
+        actions = np.array([smp.action for smp in samples], dtype=np.intp)
+        values = np.array([smp.value for smp in samples])
+        batch = Batch(states, actions, returns - values, returns)
+        grads, stats = backward(store.snapshot, batch, cfg.entropy_weight,
+                                ENTROPY_SIGNS[cfg.entropy_sign])
+        epoch = store.apply(grads)
+        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+            save_checkpoint(store.params,
+                            store.out_dir / f"checkpoint-{epoch}.npz")
+        store.metrics.write_row(
+            epoch, actor.worker_id, env.stats, cfg.metrics_window,
+            (stats.policy_loss, stats.value_loss, stats.entropy))
         del buffer[:n]
 
 
-def run_actor_learner_ep(actor: Actor, ctx: WorkerContext) -> None:
+def run_actor_learner_ep(actor: Actor, store: ParamStore) -> None:
     """Episode rule: trigger N, position indicator in the state."""
-    actor_step(actor, ctx, ctx.cfg.batch_size, discounted_returns)
+    actor_step(actor, store, store.cfg.batch_size, discounted_returns)
 
 
-def run_actor_learner_flx(actor: Actor, ctx: WorkerContext) -> None:
+def run_actor_learner_flx(actor: Actor, store: ParamStore) -> None:
     """Sliding-window rule: trigger 2N - 1, N-reward window per sample."""
-    n = ctx.cfg.batch_size
-    actor_step(actor, ctx, 2 * n - 1,
+    n = store.cfg.batch_size
+    actor_step(actor, store, 2 * n - 1,
                partial(sliding_window_returns, window=n))
 
 
@@ -317,18 +308,16 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                  traffic: TrafficConfig, *, k_paths: int, j_blocks: int,
                  hidden_layers: int, hidden_width: int,
                  slot_capacity_gbps: float, shared_hidden: bool,
-                 stats_window: int, out_dir: str | Path | None = None,
+                 stats_window: int, out_dir: str | Path,
                  progress: bool = False) -> TrainingResult:
     """Run lockstep rounds until ``cfg.epochs`` gradient applications,
     then return pooled statistics.
 
-    When ``out_dir`` is given, a metrics CSV and parameter checkpoints
-    are written there; the run aborts (with metrics flushed) if any
-    worker raises.
+    A metrics CSV and parameter checkpoints are written to ``out_dir``;
+    the run aborts (with metrics flushed) if any worker raises.
     """
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
 
     encoder = StateEncoder(
         topology, k_paths=k_paths, j_blocks=j_blocks, mode=cfg.mode,
@@ -337,7 +326,6 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         bandwidth_max_gbps=traffic.bandwidth_max)
     layer_spec = LayerSpec(encoder.length, hidden_layers, hidden_width,
                            k_paths * j_blocks)
-    store = ParamStore(init_params(layer_spec, cfg.seed, shared_hidden), cfg)
     actors = [
         Actor(worker_id,
               RmsaEnv(topology, paths, traffic, k_paths=k_paths,
@@ -346,9 +334,9 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                       stats_window=stats_window),
               np.random.default_rng([cfg.seed, worker_id, 0xA5]))
         for worker_id in range(cfg.workers)]
-    metrics = MetricsWriter(out_path / "metrics.csv") if out_path else None
-    ctx = WorkerContext(cfg=cfg, encoder=encoder, store=store,
-                        metrics=metrics, out_dir=out_path)
+    store = ParamStore(init_params(layer_spec, cfg.seed, shared_hidden),
+                       cfg, encoder, MetricsWriter(out_path / "metrics.csv"),
+                       out_path)
 
     step = _WORKER_LOOPS[cfg.mode]
     report_every = max(1, cfg.epochs // 20)
@@ -357,7 +345,7 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         while store.epoch < cfg.epochs:
             for actor in actors:
                 try:
-                    step(actor, ctx)
+                    step(actor, store)
                 except Exception as exc:
                     raise RuntimeError(
                         f"worker {actor.worker_id} failed: {exc}") from exc
@@ -367,13 +355,11 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                 last_report = store.epoch
                 print(f"  epoch {store.epoch}/{cfg.epochs}", flush=True)
     finally:
-        if metrics is not None:
-            metrics.close()
+        store.metrics.close()
 
     final = store.params
-    if out_path is not None:
-        save_checkpoint(final, out_path / f"checkpoint-{store.epoch}.npz")
-        save_checkpoint(final, out_path / "checkpoint-final.npz")
+    save_checkpoint(final, out_path / f"checkpoint-{store.epoch}.npz")
+    save_checkpoint(final, out_path / "checkpoint-final.npz")
 
     live_stats = [actor.env.stats for actor in actors]
     total = sum(s.total for s in live_stats)

@@ -155,12 +155,19 @@ def test_summarize_malformed_row_reports_line(tmp_path, capsys):
         "": "empty metrics file",
         header: "no data rows",
         header + good_row.replace("\n", ",9\n"): ":2: expected 9 fields",
+        header + good_row.replace("0.02", "high"): ":2: malformed row",
     }
     for i, (text, named) in enumerate(cases.items()):
         bad = tmp_path / f"metrics{i}.csv"
         bad.write_text(text)
         assert run_cli("summarize", str(bad)) == 1
         assert named in capsys.readouterr().err
+    assert run_cli("summarize", str(tmp_path / "missing.csv")) == 1
+    assert "cannot read metrics file" in capsys.readouterr().err
+    good = tmp_path / "good.csv"
+    good.write_text(header + good_row)
+    assert run_cli("summarize", str(good), "--tail", "0") == 1
+    assert "tail: must be >= 1" in capsys.readouterr().err
 
 
 def test_train_with_zero_epochs_reports_nan_blocking(tmp_path):
@@ -264,6 +271,9 @@ def test_eval_flow_and_missing_checkpoint(tmp_path, capsys,
                    str(out_eval)) == 0
     assert (out_eval / "summary.txt").exists()
     capsys.readouterr()
+    assert run_cli("eval", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "e1")) == 1
+    assert "eval needs a checkpoint path" in capsys.readouterr().err
     assert run_cli("eval", "--config", str(cfg_path), "--checkpoint",
                    str(tmp_path / "nope.npz"), "--out",
                    str(tmp_path / "e2")) == 1
@@ -295,6 +305,14 @@ def test_eval_checkpoint_shape_mismatch(tmp_path, capsys):
                    str(out / "checkpoint-final.npz"), "--out",
                    str(tmp_path / "e3")) == 1
     assert "does not match" in capsys.readouterr().err
+    # K = 1, J = 11 gives the same state length, 54, as K = 5, J = 1
+    write_config(other_cfg, mode="flx", k_paths=1, j_blocks=11,
+                 stats_window=1000, metrics_window=100)
+    assert run_cli("eval", "--config", str(other_cfg), "--checkpoint",
+                   str(out / "checkpoint-final.npz"), "--out",
+                   str(tmp_path / "e4")) == 1
+    assert ("action count 5 does not match k_paths * j_blocks = 11"
+            in capsys.readouterr().err)
 
 
 def test_wrong_mode_for_subcommand(tmp_path, capsys):
@@ -310,6 +328,16 @@ def test_wrong_mode_for_subcommand(tmp_path, capsys):
 def test_missing_config_file(tmp_path, capsys):
     assert run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
     assert "config" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_2(tmp_path, capsys):
+    # an output directory under a regular file cannot be made
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", num_requests=1000)
+    (tmp_path / "file").write_text("")
+    assert run_cli("baseline", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "file" / "out")) == 2
+    assert "runtime failure" in capsys.readouterr().err
 
 
 

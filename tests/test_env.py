@@ -154,6 +154,35 @@ def test_ksp_accepts_superset_of_sp_decisions(nsfnet, nsfnet_paths):
             <= sp_env.stats.blocking_probability())
 
 
+def erlang_b(servers, load):
+    """Erlang's loss formula, by its recursion over the server count."""
+    blocking = 1.0
+    for n in range(1, servers + 1):
+        blocking = load * blocking / (n + load * blocking)
+    return blocking
+
+
+def test_ksp_ff_on_one_link_is_an_erlang_loss_system(tmp_path):
+    # one link of 10 slots and one-slot demands (12.5 Gbps at any
+    # modulation): KSP-FF accepts a request whenever a slot is free, so
+    # the link is an M/M/10/10 loss system at 1.0 * 8.0 = 8 Erlang
+    topo = tmp_path / "pair.topo"
+    topo.write_text("nodes 2\nlink 0 0 1 100\n")
+    cfg = RunConfig(topology=str(topo), slot_count=10, k_paths=1,
+                    bandwidth_min=12.5, bandwidth_max=12.5, arrival_rate=1.0,
+                    mean_duration=8.0)
+    env = cfg.env(*cfg.network())
+    for _ in range(100_000):
+        env.ksp_ff(env.arrive())
+    assert erlang_b(10, 8.0) == pytest.approx(0.12166, abs=1e-5)
+    # 100k requests at seeds 0-9 read 0.1211 on average, with a standard
+    # deviation of 0.0022 between seeds, so the bound 0.009 is about 4 of
+    # them; releasing departures after the decision instead of before it
+    # reads about 0.16
+    assert (abs(env.stats.blocking_probability() - erlang_b(10, 8.0))
+            < 0.009)
+
+
 @pytest.mark.parametrize("j_blocks", [1, 3])
 def test_step_matches_single_path_first_fit(nsfnet, nsfnet_paths, set_grid,
                                             j_blocks):

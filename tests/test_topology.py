@@ -16,10 +16,16 @@ SLOT_GBPS = RunConfig().slot_capacity_gbps
 
 
 def test_parse_triangle():
-    topo = parse_topology(TRIANGLE_TEXT, slot_count=100)
-    assert topo.num_nodes == 3
-    assert topo.link_count == 3
-    assert topo.slot_count == 100
+    # '#' starts a comment anywhere on a line, as in config files
+    commented = ("# a triangle\nnodes 3 # three\n"
+                 "link 0 0 1 100  # short hop\n\n"
+                 "link 1 1 2 100#\nlink 2 0 2 100\n")
+    for text in (TRIANGLE_TEXT, commented):
+        topo = parse_topology(text, slot_count=100)
+        assert topo.num_nodes == 3
+        assert topo.link_count == 3
+        assert topo.slot_count == 100
+        assert [ln.length_km for ln in topo.links] == [100.0] * 3
 
 
 def test_nsfnet_shape(nsfnet):
@@ -46,15 +52,38 @@ def test_non_integer_node_rejected():
 
 
 def test_malformed_line_reports_line_number():
-    text = "nodes 3\nlink 0 0 1 100\nlink oops\n"
-    with pytest.raises(TopologyError, match=":3"):
-        parse_topology(text, 100)
+    # text -> what the error names
+    cases = {
+        "nodes 3\nlink 0 0 1 100\nlink oops\n": ":3",
+        "link 0 0 1 100\n": ":1: expected 'nodes <count>'",
+        "# header\nnodes\nlink 0 0 1 100\n": ":2: expected 'nodes <count>'",
+        "nodes 2 3\nlink 0 0 1 100\n": ":1: expected 'nodes <count>'",
+        "nodes two\nlink 0 0 1 100\n": ":1: node count 'two' is not an integer",
+    }
+    for text, named in cases.items():
+        with pytest.raises(TopologyError, match=named):
+            parse_topology(text, 100, source="net.topo")
 
 
 def test_duplicate_link_rejected():
     text = "nodes 3\nlink 0 0 1 100\nlink 1 1 0 120\nlink 2 1 2 50\n"
-    with pytest.raises(TopologyError, match="duplicate link"):
+    with pytest.raises(TopologyError, match="duplicate link between"):
         parse_topology(text, 100)
+    text = "nodes 3\nlink 0 0 1 100\nlink 0 1 2 100\n"
+    with pytest.raises(TopologyError, match="duplicate link id 0"):
+        parse_topology(text, 100)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty topology description"),
+    ("# only a comment\n\n", "empty topology description"),
+    ("nodes 1\n", "need at least 2 nodes, got 1"),
+    ("nodes 3\n", "topology has no links"),
+    ("nodes 2\nlink 0 1 1 100\n", "link 0 is a self-loop on node 1"),
+])
+def test_description_without_a_valid_graph_rejected(text, message):
+    with pytest.raises(TopologyError, match=f"^net.topo: {message}"):
+        parse_topology(text, 100, source="net.topo")
 
 
 @pytest.mark.parametrize("links, message", [

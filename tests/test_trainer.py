@@ -240,7 +240,7 @@ def test_acting_and_values_use_the_last_synced_snapshot(
     real_step = trainer_mod.actor_step
     real_encode = StateEncoder.encode
     real_roulette = trainer_mod.roulette_select
-    real_train = trainer_mod._train_batch
+    real_backward = trainer_mod.backward
 
     def init(self, *args):
         real_init(self, *args)
@@ -250,9 +250,10 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         real_sync(self, behaviour)
         now["params"] = self.params.clone()
 
-    def actor_step(actor, ctx, *args):
+    def actor_step(actor, store, *args):
         now["worker"] = actor.worker_id
-        real_step(actor, ctx, *args)
+        now["actor"] = actor
+        real_step(actor, store, *args)
 
     def encode(self, *args, **kwargs):
         state = real_encode(self, *args, **kwargs)
@@ -265,21 +266,23 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         counts["probs"] += 1
         return real_roulette(probs, rng)
 
-    def train_batch(actor, ctx, samples, returns):
+    def backward(*args):
+        # the trained samples are still the first N of the buffer here
+        samples = now["actor"].buffer[:batch_size]
         queue = acted[now["worker"]]
         assert len(samples) == batch_size
         for smp, (state, params) in zip(samples, queue):
             assert smp.value == forward_value(params, state)
         del queue[:batch_size]
         counts["values"] += batch_size
-        real_train(actor, ctx, samples, returns)
+        return real_backward(*args)
 
     monkeypatch.setattr(trainer_mod.ParamStore, "__init__", init)
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
     monkeypatch.setattr(trainer_mod, "actor_step", actor_step)
     monkeypatch.setattr(StateEncoder, "encode", encode)
     monkeypatch.setattr(trainer_mod, "roulette_select", roulette_select)
-    monkeypatch.setattr(trainer_mod, "_train_batch", train_batch)
+    monkeypatch.setattr(trainer_mod, "backward", backward)
     result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=8,
                        batch_size=batch_size, workers=workers)
     assert counts == {"probs": result.total_requests,
@@ -290,9 +293,9 @@ def test_refresh_rejects_unvalued_samples_after_an_apply(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch):
     real_step = trainer_mod.actor_step
 
-    def step(actor, ctx, *args):
-        real_step(actor, ctx, *args)
-        if ctx.store.epoch and actor.buffer:
+    def step(actor, store, *args):
+        real_step(actor, store, *args)
+        if store.epoch and actor.buffer:
             actor.buffer[-1].value = None  # carried across the next refresh
 
     monkeypatch.setattr(trainer_mod, "actor_step", step)
@@ -397,7 +400,7 @@ def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
 
 def test_run_training_surfaces_worker_failure(nsfnet, nsfnet_paths, tmp_path,
                                               monkeypatch):
-    def explode(actor, ctx):
+    def explode(actor, store):
         raise RuntimeError("boom in worker")
 
     monkeypatch.setitem(trainer_mod._WORKER_LOOPS, "flx", explode)
