@@ -11,9 +11,12 @@ mean-squared value loss are computed analytically for this fixed
 architecture into a vector laid out like the parameters, and parameters
 are updated with bias-corrected Adam. All math is double precision.
 
-One layer loop, ``_forward_trace``, serves every forward pass, and
-``backward`` is the one place a loss is evaluated: the ``BatchStats`` it
-returns are the only report of the policy and value losses.
+One layer loop, ``_forward_trace``, serves every forward pass. Both
+forwards, ``forward_policy`` and ``forward_value``, take one 1-D state or
+an ``(n, d)`` row stack, and each row of a stack has the bits of its
+single-state call. ``backward`` is the one place a loss is evaluated:
+the ``BatchStats`` it returns are the only report of the policy and value
+losses.
 """
 
 from __future__ import annotations
@@ -183,12 +186,20 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
     return params
 
 
+# ELU and its derivative in min/max form, not ``np.where``: ``where``
+# evaluates both branches, so ``expm1`` or ``exp`` of a large positive input
+# would overflow (and warn) for a value it discards, and on ``(n, 1, w)`` row
+# stacks it takes a slow path. These forms give the ``where`` formulas' bits
+# for every input except an exact -0.0, which ``_elu`` maps to +0.0.
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, x, np.expm1(x))
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _elu_grad(pre: np.ndarray) -> np.ndarray:
-    return np.where(pre >= 0.0, 1.0, np.exp(pre))
+    return np.exp(np.minimum(pre, 0.0))
 
 
 def _forward_trace(weights, biases, x: np.ndarray):
@@ -215,25 +226,32 @@ def _check_input(spec: LayerSpec, s: np.ndarray) -> None:
             f"{spec.input_dim}")
 
 
-def forward_policy(params: ParamSet, state: np.ndarray) -> np.ndarray:
-    """Action probabilities for one state."""
-    _check_input(params.spec, state)
+def _rows(states: np.ndarray) -> np.ndarray:
+    """A 1-D state as is, an ``(n, d)`` row stack as ``(n, 1, d)``: the
+    stack then runs as ``n`` separate 1 x d products, so each row has the
+    bits of its single-state call; one ``(n, d)`` matrix product would
+    round differently."""
+    return states if states.ndim == 1 else states[:, None, :]
+
+
+def forward_policy(params: ParamSet, states: np.ndarray) -> np.ndarray:
+    """Action probabilities: an ``(A,)`` vector for one 1-D state, an
+    ``(n, A)`` array for an ``(n, d)`` row stack, each row with the bits of
+    its single-state call."""
+    _check_input(params.spec, states)
     _, pres = _forward_trace(params.policy_weights, params.policy_biases,
-                             state)
-    return _softmax(pres[-1])
+                             _rows(states))
+    probs = _softmax(pres[-1])
+    return probs if states.ndim == 1 else probs[:, 0, :]
 
 
 def forward_value(params: ParamSet, states: np.ndarray) -> float | np.ndarray:
     """Value estimate (linear, unbounded): a ``float`` for one 1-D state,
-    an ``(n,)`` array for an ``(n, d)`` row stack.
-
-    The stack runs as ``n`` separate 1 x d products, so each entry has the
-    bits of the same row's single-state call; one ``(n, d)`` matrix product
-    would round differently.
-    """
+    an ``(n,)`` array for an ``(n, d)`` row stack, each entry with the bits
+    of its single-state call."""
     _check_input(params.spec, states)
-    x = states if states.ndim == 1 else states[:, None, :]
-    _, pres = _forward_trace(params.value_weights, params.value_biases, x)
+    _, pres = _forward_trace(params.value_weights, params.value_biases,
+                             _rows(states))
     if states.ndim == 1:
         return float(pres[-1][0])
     return pres[-1][:, 0, 0]

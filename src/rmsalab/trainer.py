@@ -4,11 +4,23 @@ W actors share one object, a ``ParamStore``: the global parameter set,
 the behaviour snapshot of it that they all act on, the settings, the
 state encoder and the run's outputs. Each actor owns a private
 environment, demand stream, action RNG and sample buffer. Training runs
-in rounds on one thread: in each round every actor, in worker order,
-serves one request, and an actor whose buffer reaches its trigger trains
-at once, so gradients are applied in a fixed order and a run is
-reproducible from its seed. One epoch is one gradient application; the
-run stops as soon as the configured epoch count is reached. Two return
+in rounds on one thread, and a round serves one request per actor in
+three steps:
+
+1. every actor, in worker order, refreshes the snapshot if due (below),
+   draws its request and encodes it;
+2. one ``forward_policy`` call on the row stack of their states gives
+   every actor's action probabilities;
+3. every actor, in worker order, draws its action by roulette on its own
+   RNG, serves its request and buffers the sample, and an actor whose
+   buffer reaches its trigger trains at once.
+
+Gradients are thus applied in a fixed order and a run is reproducible
+from its seed. One epoch is one gradient application; the run stops as
+soon as the configured epoch count is reached, so only the actors up to
+the apply that reaches it take part in the final round, counted from the
+buffer lengths before the round starts. A fault in an actor's part of a
+round aborts the run with an error that names the actor. Two return
 rules exist, and both train on the first N buffered samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
@@ -24,10 +36,26 @@ An actor refreshes the snapshot when its buffer holds trigger - N samples
 copies the global parameters in if they have moved since the last copy.
 One snapshot thus serves all W actors exactly as W private copies would:
 it changes only at a refresh, to what a private copy would get there.
-Every buffer has the same length after each round, so for N >= 2 all
-actors refresh in the same round, in which no gradient is applied, and
-only the first copies. For N = 1 each actor refreshes just before it acts
-and trains, after the previous actor's update.
+
+A round splits into groups, each with one stacked policy forward: a new
+group starts at an actor whose refresh falls due after an earlier actor
+of the current group will have applied a gradient. Within a group the
+snapshot then changes only at refreshes that precede all of the group's
+actions, so each actor acts on the snapshot it would act on if the
+actors were served one at a time. Every buffer has the same length after
+each round, so for N >= 2 a round is one group: all actors refresh in
+the same round, in which no gradient is applied, and only the first
+copies. For N = 1 each actor refreshes just before it acts and trains,
+after the previous actor's update, and so forms a group of its own. A
+stacked row is exact: ``forward_policy`` runs an ``(n, d)`` stack as n
+separate 1 x d products, so each row has the bits of its single-state
+call, and every roulette draw picks what it would pick one at a time.
+
+The backward pass is not stacked. One ``(W, N, .)`` pass over the actors
+that train in a round gives the same bits, but an interleaved probe on
+the default 5 x 128 nets (N = 50, one BLAS thread) timed it at about
+5.0 ms per actor against 3.0 ms for W separate calls at W = 2, and at
+3.0 ms for both at W = 16.
 
 The critic's value estimate enters only the advantages of a trained
 batch, so a sample is buffered without one. When a buffer reaches its
@@ -59,7 +87,7 @@ from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
                         forward_policy, forward_value, init_params,
                         save_checkpoint)
 from .topology import Topology
-from .traffic import TrafficConfig
+from .traffic import Request, TrafficConfig
 
 METRICS_COLUMNS = ("epoch", "worker", "requests_total", "requests_blocked",
                    "cum_reward_1k", "blocking_prob", "policy_loss",
@@ -209,19 +237,18 @@ class Actor:
     buffer: list[ExperienceSample] = field(default_factory=list)
 
 
-def actor_step(actor: Actor, store: ParamStore, trigger: int,
-               returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
-    """Serve one request for ``actor`` under a return rule.
+def _failed(actor: Actor, exc: Exception) -> RuntimeError:
+    """The error a fault in ``actor``'s part of a round aborts the run with."""
+    return RuntimeError(f"worker {actor.worker_id} failed: {exc}")
 
-    At ``trigger - N`` buffered samples the snapshot is refreshed, if the
-    global parameters have moved since it was copied; once the buffer
-    holds ``trigger`` samples, the samples without a value estimate get
-    one in a single stacked pass, and ``returns_fn(rewards, gamma)`` gives
-    the returns of the first N: their gradient is applied, the metrics row
-    and any due checkpoint are written, and the N samples are dropped.
+
+def actor_arrive(actor: Actor, store: ParamStore,
+                 trigger: int) -> tuple[Request, np.ndarray]:
+    """The first step of ``actor``'s part of a round: refresh the snapshot
+    at ``trigger - N`` buffered samples, if the global parameters have
+    moved since it was copied; then draw the next request and encode it.
     """
-    cfg = store.cfg
-    n = cfg.batch_size
+    n = store.cfg.batch_size
     buffer = actor.buffer
     if len(buffer) == trigger - n and store.snapshot_epoch != store.epoch:
         if any(smp.value is None for smp in buffer):
@@ -233,9 +260,27 @@ def actor_step(actor: Actor, store: ParamStore, trigger: int,
         store.snapshot_epoch = store.epoch
     env = actor.env
     req = env.arrive()
-    state = store.encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                                 episode_length=n)
-    probs = forward_policy(store.snapshot, state)
+    return req, store.encoder.encode(req, env.spectrum,
+                                     env.candidate_paths(req),
+                                     episode_length=n)
+
+
+def actor_act(actor: Actor, store: ParamStore, req: Request,
+              state: np.ndarray, probs: np.ndarray, trigger: int,
+              returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
+    """The last step of ``actor``'s part of a round: draw an action from
+    ``probs``, serve ``req`` with it and buffer the sample.
+
+    Once the buffer holds ``trigger`` samples, the samples without a value
+    estimate get one in a single stacked pass, and
+    ``returns_fn(rewards, gamma)`` gives the returns of the first N: their
+    gradient is applied, the metrics row and any due checkpoint are
+    written, and the N samples are dropped.
+    """
+    cfg = store.cfg
+    n = cfg.batch_size
+    buffer = actor.buffer
+    env = actor.env
     action = roulette_select(probs, actor.rng)
     outcome = env.step(req, action)
     buffer.append(ExperienceSample(state, action, outcome.reward))
@@ -264,19 +309,56 @@ def actor_step(actor: Actor, store: ParamStore, trigger: int,
         del buffer[:n]
 
 
-def run_actor_learner_ep(actor: Actor, store: ParamStore) -> None:
-    """Episode rule: trigger N, position indicator in the state."""
-    actor_step(actor, store, store.cfg.batch_size, discounted_returns)
+def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
+                returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
+    """Serve one lockstep round under a return rule: the actors up to the
+    apply that reaches the configured epoch count take part, in groups that
+    each make one stacked policy forward (see the module docstring)."""
+    due = store.cfg.epochs - store.epoch
+    refresh_at = trigger - store.cfg.batch_size
+    groups: list[list[Actor]] = [[]]
+    applies = False
+    for actor in actors:
+        if applies and len(actor.buffer) == refresh_at:
+            groups.append([])
+            applies = False
+        groups[-1].append(actor)
+        if len(actor.buffer) + 1 == trigger:
+            applies = True
+            due -= 1
+            if due == 0:
+                break
+    for group in groups:
+        arrivals = []
+        for actor in group:
+            try:
+                arrivals.append(actor_arrive(actor, store, trigger))
+            except Exception as exc:
+                raise _failed(actor, exc) from exc
+        probs = forward_policy(store.snapshot,
+                               np.stack([state for _, state in arrivals]))
+        for actor, (req, state), row in zip(group, arrivals, probs):
+            try:
+                actor_act(actor, store, req, state, row, trigger, returns_fn)
+            except Exception as exc:
+                raise _failed(actor, exc) from exc
 
 
-def run_actor_learner_flx(actor: Actor, store: ParamStore) -> None:
-    """Sliding-window rule: trigger 2N - 1, N-reward window per sample."""
+def run_actor_learner_ep(actors: list[Actor], store: ParamStore) -> None:
+    """One round under the episode rule: trigger N, position indicator in
+    the state."""
+    serve_round(actors, store, store.cfg.batch_size, discounted_returns)
+
+
+def run_actor_learner_flx(actors: list[Actor], store: ParamStore) -> None:
+    """One round under the sliding-window rule: trigger 2N - 1, N-reward
+    window per sample."""
     n = store.cfg.batch_size
-    actor_step(actor, store, 2 * n - 1,
-               partial(sliding_window_returns, window=n))
+    serve_round(actors, store, 2 * n - 1,
+                partial(sliding_window_returns, window=n))
 
 
-# mode -> one-request step, looked up when a run starts
+# mode -> one lockstep round, looked up when a run starts
 _WORKER_LOOPS = {"ep": run_actor_learner_ep, "flx": run_actor_learner_flx}
 
 
@@ -338,19 +420,12 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
                        cfg, encoder, MetricsWriter(out_path / "metrics.csv"),
                        out_path)
 
-    step = _WORKER_LOOPS[cfg.mode]
+    serve = _WORKER_LOOPS[cfg.mode]
     report_every = max(1, cfg.epochs // 20)
     last_report = 0
     try:
         while store.epoch < cfg.epochs:
-            for actor in actors:
-                try:
-                    step(actor, store)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"worker {actor.worker_id} failed: {exc}") from exc
-                if store.epoch == cfg.epochs:
-                    break
+            serve(actors, store)
             if progress and store.epoch >= last_report + report_every:
                 last_report = store.epoch
                 print(f"  epoch {store.epoch}/{cfg.epochs}", flush=True)

@@ -45,6 +45,10 @@ TRAIN_SHA256 = {
     },
 }
 
+# (requests served, blocked) of each training run pinned here: a final round
+# that serves an actor after the last apply changes these counts, not a hash
+TRAIN_SERVED = {"flx": (1049, 508), "ep": (1000, 491)}
+
 CHECKPOINT_EVERY = 7
 RUN_SETTINGS = {
     "flx-w2": dict(mode="flx", workers=2),
@@ -52,6 +56,8 @@ RUN_SETTINGS = {
     "ep-w3-n1": dict(mode="ep", workers=3, batch_size=1),
     "flx-shared": dict(mode="flx", workers=1, share_hidden=True),
 }
+RUN_SERVED = {"flx-w2": (1098, 472), "flx-w16": (2372, 719),
+              "ep-w3-n1": (20, 0), "flx-shared": (1049, 508)}
 RUN_SHA256 = {
     "flx-w2": {
         "metrics.csv":
@@ -134,10 +140,12 @@ def digests(out_dir, names):
             for name in names}
 
 
-def train_digests(network, out_dir, cfg, names):
-    """Train under ``cfg`` into ``out_dir``; sha256 of each named file."""
+def train_digests(network, out_dir, cfg, names, served):
+    """Train under ``cfg`` into ``out_dir``, check that it served and
+    blocked the ``served`` request counts; sha256 of each named file."""
     result = cfg.train(*network, out_dir=out_dir)
     assert result.final_epoch == cfg.epochs
+    assert (result.total_requests, result.total_blocked) == served
     return digests(out_dir, names)
 
 
@@ -154,16 +162,16 @@ def test_baseline_blocked_counts(nsfnet_network, heuristic):
 @pytest.mark.parametrize("mode", sorted(TRAIN_SHA256))
 def test_single_worker_training_artifacts(nsfnet_network, tmp_path, mode):
     cfg = RunConfig(mode=mode, workers=1, epochs=TRAIN_EPOCHS, seed=0)
-    assert train_digests(nsfnet_network, tmp_path, cfg,
-                         TRAIN_SHA256[mode]) == TRAIN_SHA256[mode]
+    assert train_digests(nsfnet_network, tmp_path, cfg, TRAIN_SHA256[mode],
+                         TRAIN_SERVED[mode]) == TRAIN_SHA256[mode]
 
 
 @pytest.mark.parametrize("run", sorted(RUN_SHA256))
 def test_lockstep_and_shared_trunk_artifacts(nsfnet_network, tmp_path, run):
     cfg = RunConfig(epochs=TRAIN_EPOCHS, seed=0,
                     checkpoint_every=CHECKPOINT_EVERY, **RUN_SETTINGS[run])
-    assert train_digests(nsfnet_network, tmp_path, cfg,
-                         RUN_SHA256[run]) == RUN_SHA256[run]
+    assert train_digests(nsfnet_network, tmp_path, cfg, RUN_SHA256[run],
+                         RUN_SERVED[run]) == RUN_SHA256[run]
 
 
 def test_cli_artifacts(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from rmsalab.errors import ContractViolation
 from rmsalab.neuralnet import (Batch, LayerSpec, adam_apply, backward,
                                entropy, forward_policy, forward_value,
                                init_params, load_checkpoint, save_checkpoint,
-                               _elu)
+                               _elu, _elu_grad)
 
 SPEC = LayerSpec(input_dim=54, hidden_layers=5, hidden_width=128,
                  action_count=5)
@@ -79,6 +80,56 @@ def test_value_row_stack_matches_single_states(shared, width, n):
     assert stacked.shape == (n,)
     # bit-for-bit: the trainer values a batch in one stacked call
     assert np.array_equal(stacked, np.array(single))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 50])
+@pytest.mark.parametrize("width", [16, 128])
+@pytest.mark.parametrize("shared", [False, True])
+def test_policy_row_stack_matches_single_states(shared, width, n):
+    params = init_params(LayerSpec(54, 5, width, 5), 11,
+                         shared_hidden=shared, head_scale=1.0)
+    states = np.random.default_rng(width + n).uniform(0, 1, size=(n, 54))
+    single = [forward_policy(params, state) for state in states]
+    assert all(probs.shape == (5,) for probs in single)
+    stacked = forward_policy(params, states)
+    assert stacked.shape == (n, 5)
+    # bit-for-bit: the trainer serves a round from one stacked call
+    assert np.array_equal(stacked, np.array(single))
+
+
+def test_elu_kernels_equal_the_where_formulas():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    grid = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                     1e3 * tiny, -1e3 * tiny, 800.0, -800.0, 709.0, 710.0,
+                     -745.0, 1e-300, -1e-300, 1.0, -1.0])
+    values = np.concatenate(
+        [grid, np.random.default_rng(5).normal(scale=4.0, size=(1000,))])
+    with np.errstate(over="ignore"):
+        elu = np.where(values > 0.0, values, np.expm1(values))
+        grad = np.where(values >= 0.0, 1.0, np.exp(values))
+    for shaped in (values, values.reshape(-1, 1, 2)):
+        assert np.array_equal(_elu(shaped).ravel(), elu, equal_nan=True)
+        assert np.array_equal(_elu_grad(shaped).ravel(), grad,
+                              equal_nan=True)
+    # the one input whose bits move: -0.0 maps to +0.0
+    assert not np.signbit(_elu(np.array([-0.0]))[0])
+
+
+def test_large_pre_activations_do_not_overflow():
+    params = zeroed(SPEC)
+    params.policy_biases[0][:] = 800.0
+    params.value_biases[0][:] = 800.0
+    state = np.zeros(54)
+    batch = batch_of([state], [0], [1.0], [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = forward_policy(params, state)
+        value = forward_value(params, state)
+        stacked = forward_value(params, state[None, :])
+        grads, _ = backward(params, batch, 0.01)
+    assert probs == pytest.approx(np.full(5, 0.2))
+    assert value == 0.0 and stacked.tolist() == [0.0]
+    assert np.isfinite(grads).all()
 
 
 def test_elu_definition():

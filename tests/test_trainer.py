@@ -224,6 +224,28 @@ def test_flx_copies_the_snapshot_once_per_sync_round(
     assert syncs == list(range(workers, epochs, workers))
 
 
+@pytest.mark.parametrize("mode, batch_size, rows", [
+    ("flx", 5, [3] * 18 + [1]), ("ep", 5, [3] * 14 + [1]),
+    ("ep", 1, [1] * 7)])
+def test_a_round_makes_one_stacked_policy_forward_per_group(
+        nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, batch_size, rows):
+    seen = []
+    real_forward = trainer_mod.forward_policy
+
+    def forward_policy(params, states):
+        seen.append(len(states))
+        return real_forward(params, states)
+
+    monkeypatch.setattr(trainer_mod, "forward_policy", forward_policy)
+    result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=7,
+                       batch_size=batch_size, workers=3)
+    # for N >= 2 each round is one group of all 3 actors, and the final
+    # round holds only the actor whose apply reaches epoch 7; for N = 1 an
+    # actor refreshes after the previous one's apply, so each is a group
+    assert seen == rows
+    assert sum(rows) == result.total_requests
+
+
 @pytest.mark.parametrize("mode, workers, batch_size",
                          [("flx", 2, 5), ("ep", 3, 1), ("ep", 1, 5)])
 def test_acting_and_values_use_the_last_synced_snapshot(
@@ -237,7 +259,8 @@ def test_acting_and_values_use_the_last_synced_snapshot(
     counts = {"probs": 0, "values": 0}
     real_init = trainer_mod.ParamStore.__init__
     real_sync = trainer_mod.ParamStore.sync_into
-    real_step = trainer_mod.actor_step
+    real_arrive = trainer_mod.actor_arrive
+    real_act = trainer_mod.actor_act
     real_encode = StateEncoder.encode
     real_roulette = trainer_mod.roulette_select
     real_backward = trainer_mod.backward
@@ -250,10 +273,16 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         real_sync(self, behaviour)
         now["params"] = self.params.clone()
 
-    def actor_step(actor, store, *args):
+    # a round encodes every actor's state before any of them acts, so the
+    # worker in force is set at each of its two steps
+    def actor_arrive(actor, store, *args):
+        now["worker"] = actor.worker_id
+        return real_arrive(actor, store, *args)
+
+    def actor_act(actor, store, *args):
         now["worker"] = actor.worker_id
         now["actor"] = actor
-        real_step(actor, store, *args)
+        real_act(actor, store, *args)
 
     def encode(self, *args, **kwargs):
         state = real_encode(self, *args, **kwargs)
@@ -279,7 +308,8 @@ def test_acting_and_values_use_the_last_synced_snapshot(
 
     monkeypatch.setattr(trainer_mod.ParamStore, "__init__", init)
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
-    monkeypatch.setattr(trainer_mod, "actor_step", actor_step)
+    monkeypatch.setattr(trainer_mod, "actor_arrive", actor_arrive)
+    monkeypatch.setattr(trainer_mod, "actor_act", actor_act)
     monkeypatch.setattr(StateEncoder, "encode", encode)
     monkeypatch.setattr(trainer_mod, "roulette_select", roulette_select)
     monkeypatch.setattr(trainer_mod, "backward", backward)
@@ -291,14 +321,14 @@ def test_acting_and_values_use_the_last_synced_snapshot(
 
 def test_refresh_rejects_unvalued_samples_after_an_apply(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch):
-    real_step = trainer_mod.actor_step
+    real_act = trainer_mod.actor_act
 
-    def step(actor, store, *args):
-        real_step(actor, store, *args)
+    def act(actor, store, *args):
+        real_act(actor, store, *args)
         if store.epoch and actor.buffer:
             actor.buffer[-1].value = None  # carried across the next refresh
 
-    monkeypatch.setattr(trainer_mod, "actor_step", step)
+    monkeypatch.setattr(trainer_mod, "actor_act", act)
     # the first copy, after the first apply, finds an unvalued sample
     with pytest.raises(RuntimeError, match="not yet valued") as info:
         small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=3)
@@ -336,6 +366,13 @@ def test_multi_worker_runs_are_reproducible(nsfnet, nsfnet_paths, tmp_path,
     assert outs[0] == outs[1]
 
 
+# (mode, workers) -> (requests served, blocked) in a 7-epoch run: the final
+# round serves only the actors up to the apply that reaches epoch 7
+FINAL_ROUND_SERVED = {("ep", 1): (35, 0), ("ep", 2): (39, 0),
+                      ("ep", 3): (43, 0), ("flx", 1): (39, 0),
+                      ("flx", 2): (47, 0), ("flx", 3): (55, 0)}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("mode", ["ep", "flx"])
 def test_final_epoch_is_exact(nsfnet, nsfnet_paths, tmp_path, mode, workers):
@@ -343,6 +380,8 @@ def test_final_epoch_is_exact(nsfnet, nsfnet_paths, tmp_path, mode, workers):
     result = small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=7,
                        workers=workers)
     assert result.final_epoch == 7
+    assert ((result.total_requests, result.total_blocked)
+            == FINAL_ROUND_SERVED[mode, workers])
     rows = read_metrics(tmp_path / "metrics.csv")
     assert [int(r["epoch"]) for r in rows] == list(range(1, 8))
     # gradients are applied in worker order within a round
@@ -400,10 +439,10 @@ def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
 
 def test_run_training_surfaces_worker_failure(nsfnet, nsfnet_paths, tmp_path,
                                               monkeypatch):
-    def explode(actor, store):
+    def explode(actor, store, *args):
         raise RuntimeError("boom in worker")
 
-    monkeypatch.setitem(trainer_mod._WORKER_LOOPS, "flx", explode)
+    monkeypatch.setattr(trainer_mod, "actor_act", explode)
     with pytest.raises(RuntimeError, match="worker [01] failed"):
         small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=5, workers=2)
     # metrics flushed and readable even after the abort
