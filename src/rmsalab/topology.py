@@ -5,15 +5,38 @@ Topologies are small undirected graphs with physical link lengths in km.
 Candidate paths between every node pair are computed once at startup
 (loopless K-shortest by length) and reused for the whole run, so path
 ordering and therefore action indices are stable across runs.
+
+The search is Yen's algorithm (1971) with two rules that skip work
+without changing the table:
+
+- Lawler's rule (1972): an accepted path is spurred only from the index
+  at which it left the path it was found from. An earlier spur node sees
+  the same root and the same banned links as a search already made, so it
+  could only find a path already generated.
+- The candidate bound: once r = k - (paths accepted) candidates are
+  queued, no path longer than the r-th shortest of them can be accepted.
+  A spur search drops each entry whose root length + length + unrestricted
+  distance to the destination exceeds that bound times 1 + 1e-9.
+
+Neither rule can change the table, because link lengths are strictly
+positive (``Topology`` rejects others), because the 1e-9 slack is far
+above the rounding of the bound's sums, and because a path's length is
+still ``root_len + spur_len``, summed by the spur search that first finds
+it. Each pair's first path and the distances the bound uses come from one
+lexicographic shortest-path tree per node, built by the first search on a
+``Topology`` and kept on it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import TopologyError
 
@@ -62,6 +85,12 @@ class Topology:
         self.adjacency = tuple(tuple(sorted(rows)) for rows in adj)
         if not self._connected():
             raise TopologyError("graph is not connected")
+
+    @cached_property
+    def _search_index(self) -> _SearchIndex:
+        """Link lengths, link ends and every node's shortest-path tree,
+        built by the first path search and shared by every pair's."""
+        return _index_topology(self)
 
     @property
     def nodes(self) -> range:
@@ -206,34 +235,91 @@ def required_slots(bandwidth_gbps: float, modulation: int,
     return max(1, math.ceil(bandwidth_gbps / (modulation * slot_capacity_gbps)))
 
 
-def _lex_shortest(topo: Topology, src: int, dst: int,
-                  banned_nodes: frozenset[int] | set[int],
-                  banned_links: frozenset[int] | set[int],
-                  ) -> tuple[float, tuple[int, ...], tuple[int, ...]] | None:
-    """Shortest src->dst path avoiding the given nodes/links.
+def _lex_tree(adjacency: tuple[tuple[tuple[int, int, float], ...], ...],
+              src: int) -> tuple[list[float], list[tuple[int, ...]]]:
+    """Lexicographic shortest-path tree from ``src``: per node, its length
+    and link-id sequence.
 
     Ties in length resolve to the lexicographically smallest link-id
-    sequence; with strictly positive lengths the first pop of ``dst`` is
-    minimal under that (length, link_ids) order.
+    sequence; with strictly positive lengths a node's first pop is minimal
+    under that (length, link_ids) order, and it is the path a search
+    stopped at that node would return.
     """
-    heap: list[tuple[float, tuple[int, ...], int, tuple[int, ...]]] = [
-        (0.0, (), src, (src,))
-    ]
-    settled: set[int] = set()
+    lengths = [0.0] * len(adjacency)
+    sequences: list[tuple[int, ...] | None] = [None] * len(adjacency)
+    heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), src)]
     while heap:
-        dist, link_seq, node, node_seq = heapq.heappop(heap)
-        if node == dst:
-            return dist, link_seq, node_seq
-        if node in settled:
+        dist, link_seq, node = heapq.heappop(heap)
+        if sequences[node] is not None:
             continue
-        settled.add(node)
-        for link_id, nbr, length in topo.adjacency[node]:
-            if nbr in settled or nbr in banned_nodes or link_id in banned_links:
+        lengths[node] = dist
+        sequences[node] = link_seq
+        for link_id, nbr, length in adjacency[node]:
+            if sequences[nbr] is None:
+                heapq.heappush(heap, (dist + length, link_seq + (link_id,), nbr))
+    return lengths, sequences
+
+
+class _SearchIndex(NamedTuple):
+    """What every pair's path search on one topology shares."""
+
+    link_lengths: tuple[float, ...]        # by link id
+    link_ends: tuple[tuple[int, int], ...]  # by link id
+    # per node, its lexicographic shortest-path tree (_lex_tree)
+    tree_lengths: tuple[list[float], ...]
+    tree_links: tuple[list[tuple[int, ...]], ...]
+
+
+def _index_topology(topo: Topology) -> _SearchIndex:
+    by_id = sorted(topo.links, key=lambda ln: ln.id)
+    trees = [_lex_tree(topo.adjacency, node) for node in topo.nodes]
+    return _SearchIndex(tuple(ln.length_km for ln in by_id),
+                        tuple((ln.a, ln.b) for ln in by_id),
+                        tuple(lengths for lengths, _ in trees),
+                        tuple(sequences for _, sequences in trees))
+
+
+def _nodes_along(link_ends: tuple[tuple[int, int], ...], start: int,
+                 link_seq: tuple[int, ...]) -> tuple[int, ...]:
+    nodes = [start]
+    for link_id in link_seq:
+        a, b = link_ends[link_id]
+        nodes.append(b if nodes[-1] == a else a)
+    return tuple(nodes)
+
+
+def _spur_search(adjacency: tuple[tuple[tuple[int, int, float], ...], ...],
+                 start: int, dst: int, closed: set[int],
+                 banned_links: set[int], root_len: float,
+                 to_dst: list[float], limit: float,
+                 ) -> tuple[float, tuple[int, ...]] | None:
+    """Lexicographically shortest start->dst path (as ``_lex_tree`` orders
+    paths) that enters no node of ``closed`` and uses no banned link.
+
+    An entry is not pushed when ``root_len`` + its length + its node's
+    unrestricted distance to ``dst`` exceeds ``limit``, so the search
+    returns None instead of a path longer than ``limit`` once the root
+    is added. ``closed`` is used as the settled set.
+    """
+    heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), start)]
+    while heap:
+        dist, link_seq, node = heapq.heappop(heap)
+        if node == dst:
+            return dist, link_seq
+        if node in closed:
+            continue
+        closed.add(node)
+        for link_id, nbr, length in adjacency[node]:
+            if nbr in closed or link_id in banned_links:
                 continue
-            heapq.heappush(
-                heap,
-                (dist + length, link_seq + (link_id,), nbr, node_seq + (nbr,)))
+            ahead = dist + length
+            if root_len + ahead + to_dst[nbr] <= limit:
+                heapq.heappush(heap, (ahead, link_seq + (link_id,), nbr))
     return None
+
+
+# relative slack of the candidate bound, far above the rounding of its sums
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
@@ -243,6 +329,29 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
 
     Returns up to ``k`` simple paths sorted by (length_km, link-id
     sequence); fewer if the graph does not contain ``k`` simple paths.
+    A candidate found by a spur search at index i of an accepted path
+    has length ``root_len + spur_len``: the sum of the path's first i
+    links plus the spur's own sum, each added from its start.
+
+    Two rules skip searches that cannot change the result:
+
+    - Lawler's rule: an accepted path is spurred only from its
+      deviation index, the index at which its own spur search found it,
+      onward. At an earlier index the root and the banned links are
+      those of a spur search already made, so it can only find a path
+      already generated.
+    - The candidate bound: with r = k - (paths accepted) still to
+      accept and at least r candidates queued, no path longer than the
+      r-th shortest queued one can be accepted, and that bound only
+      falls. A spur search pushes no entry whose root length + length
+      + unrestricted distance to ``dst`` exceeds it times 1 + 1e-9.
+
+    With strictly positive lengths, which ``Topology`` requires, an
+    entry on a path within the bound is never dropped, so neither rule
+    changes which paths are accepted or their lengths: lengths are still
+    summed as ``root_len + spur_len`` by the spur search that first
+    finds the path, and the slack of 1e-9 covers the rounding of the
+    bound's own sums.
     """
     if src == dst:
         raise ValueError(f"source and destination are both node {src}")
@@ -252,40 +361,55 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
 
-    lengths = {ln.id: ln.length_km for ln in topo.links}
+    index = topo._search_index
+    to_dst = index.tree_lengths[dst]
     # a Topology is connected, so every node pair has a first path
-    first = _lex_shortest(topo, src, dst, frozenset(), frozenset())
-    accepted: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [first]
-    seen: set[tuple[int, ...]] = {first[1]}
-    candidates: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
+    first = index.tree_links[src][dst]
+    # (length, link ids, nodes, deviation index)
+    accepted = [(index.tree_lengths[src][dst], first,
+                 _nodes_along(index.link_ends, src, first), 0)]
+    seen: set[tuple[int, ...]] = {first}
+    # (length, link ids, deviation index); link ids are unique, so the
+    # deviation index never takes part in the heap order
+    candidates: list[tuple[float, tuple[int, ...], int]] = []
+    # sorted lengths of the (k - accepted) shortest queued candidates
+    bound: list[float] = []
 
     while len(accepted) < k:
-        _, base_links, base_nodes = accepted[-1]
+        _, base_links, base_nodes, deviation = accepted[-1]
+        to_accept = k - len(accepted)
         root_len = 0.0
-        for i in range(len(base_nodes) - 1):
+        for link_id in base_links[:deviation]:
+            root_len += index.link_lengths[link_id]
+        for i in range(deviation, len(base_links)):
             spur_node = base_nodes[i]
-            root_links = base_links[:i]
-            root_nodes = base_nodes[: i + 1]
-            banned_links = {
-                path_links[i]
-                for _, path_links, _ in accepted
-                if path_links[:i] == root_links and len(path_links) > i
-            }
-            banned_nodes = set(root_nodes[:-1])
-            spur = _lex_shortest(topo, spur_node, dst, banned_nodes, banned_links)
-            if spur is not None:
-                spur_len, spur_links, spur_nodes = spur
-                total_links = root_links + spur_links
-                if total_links not in seen:
-                    seen.add(total_links)
-                    heapq.heappush(
-                        candidates,
-                        (root_len + spur_len, total_links,
-                         root_nodes[:-1] + spur_nodes))
-            root_len += lengths[base_links[i]]
+            limit = (bound[-1] * _BOUND_SLACK if len(bound) == to_accept
+                     else math.inf)
+            if root_len + to_dst[spur_node] <= limit:
+                root_links = base_links[:i]
+                banned_links = {path_links[i]
+                                for _, path_links, _, _ in accepted
+                                if path_links[:i] == root_links}
+                spur = _spur_search(topo.adjacency, spur_node, dst,
+                                    set(base_nodes[:i]), banned_links,
+                                    root_len, to_dst, limit)
+                if spur is not None:
+                    spur_len, spur_links = spur
+                    total_links = root_links + spur_links
+                    if total_links not in seen:
+                        seen.add(total_links)
+                        length = root_len + spur_len
+                        heapq.heappush(candidates, (length, total_links, i))
+                        bisect.insort(bound, length)
+                        del bound[to_accept:]
+            root_len += index.link_lengths[base_links[i]]
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
+        length, link_seq, deviation = heapq.heappop(candidates)
+        del bound[0]
+        accepted.append((length, link_seq,
+                         _nodes_along(index.link_ends, src, link_seq),
+                         deviation))
 
     return [
         CandidatePath(
@@ -294,7 +418,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
             length_km=length,
             modulation=modulation_for(length, reach_table),
         )
-        for length, link_seq, node_seq in accepted
+        for length, link_seq, node_seq, _ in accepted
     ]
 
 

@@ -1,11 +1,13 @@
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsalab.config import RunConfig
 from rmsalab.errors import TopologyError
-from rmsalab.topology import (CandidatePath, k_shortest_paths, load_topology,
+from rmsalab.topology import (Link, Topology, k_shortest_paths, load_topology,
                               modulation_for, parse_topology, precompute_paths,
                               required_slots)
 
@@ -163,9 +165,99 @@ def test_nsfnet_matches_bruteforce(nsfnet, src, dst):
     oracle = _all_simple_paths(nsfnet, src, dst)[:5]
     assert len(got) == 5
     for path, (length, link_ids, nodes) in zip(got, oracle):
-        assert path.link_ids == link_ids
-        assert path.nodes == nodes
-        assert path.length_km == pytest.approx(length)
+        # NSFNET lengths are whole kilometres, so every sum is exact
+        assert (path.length_km, path.link_ids, path.nodes) == (length,
+                                                               link_ids, nodes)
+
+
+def _random_topology(rng, num_nodes, lengths, extra_links):
+    """A connected graph: a random spanning tree plus ``extra_links`` other
+    node pairs, link ids shuffled, each length drawn from ``lengths``."""
+    pairs = [(rng.randrange(node), node) for node in range(1, num_nodes)]
+    others = [(a, b) for a in range(num_nodes) for b in range(a + 1, num_nodes)
+              if (a, b) not in pairs]
+    pairs += rng.sample(others, min(extra_links, len(others)))
+    ids = list(range(len(pairs)))
+    rng.shuffle(ids)
+    return Topology(num_nodes, [Link(link_id, a, b, rng.choice(lengths))
+                                for link_id, (a, b) in zip(ids, pairs)],
+                    slot_count=10)
+
+
+def _table_digest(table):
+    digest = hashlib.sha256()
+    for (src, dst), paths in sorted(table.items()):
+        for p in paths:
+            digest.update(f"{src} {dst} {p.nodes} {p.link_ids} "
+                          f"{p.length_km!r} {p.modulation}\n".encode())
+    return digest.hexdigest()
+
+
+# tie-heavy sets: many paths of equal length, ordered by their link ids
+TIED_LENGTHS = ((100.0, 200.0, 300.0), (1.0, 2.0), (500.0, 500.0, 700.0))
+
+
+def test_random_graphs_match_bruteforce():
+    rng = random.Random(23)
+    for _ in range(24):
+        num_nodes = rng.randint(4, 10)
+        topo = _random_topology(rng, num_nodes, rng.choice(TIED_LENGTHS),
+                                rng.randint(0, num_nodes))
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                if src == dst:
+                    continue
+                oracle = _all_simple_paths(topo, src, dst)
+                for k in (1, 3, 5, 9):
+                    got = k_shortest_paths(topo, src, dst, k, REACH)
+                    # integer lengths: the oracle's sums are exact too
+                    assert [(p.length_km, p.link_ids, p.nodes)
+                            for p in got] == oracle[:k]
+
+
+# sha256 of each table (_table_digest), recorded with the plain form of
+# Yen's algorithm, which spurs from every node of every accepted path
+BUILTIN_TABLE_SHA256 = {
+    ("nsfnet", 5):
+        "6160d53e8fe5ae536396f15aef2f41421a1413ce08c5cb01bc4590cff338b81c",
+    ("nsfnet", 8):
+        "e21eff6118041c0bc312326684a2d32efc8f707d142e84d14a56118f4950c0a3",
+    ("cost239", 5):
+        "2e1fb6a3df7161a92a4fdd58c74361afeae17becccb13fc50da84e9b5c44f788",
+    ("cost239", 8):
+        "16f4c234b8266916814df882b0990cce45b63e7fc4d24cdbc69fc39540f22315",
+}
+
+
+@pytest.mark.parametrize("name, k", BUILTIN_TABLE_SHA256)
+def test_builtin_path_tables_pinned(name, k):
+    table = precompute_paths(load_topology(name, 100), k, REACH)
+    assert _table_digest(table) == BUILTIN_TABLE_SHA256[(name, k)]
+
+
+def test_non_integer_length_tables_pinned():
+    # sums of lengths like 0.1 round, so a path's length depends on where
+    # the search splits it into root and spur: the pins hold the
+    # root_len + spur_len sums, which a left-to-right sum can miss by a bit
+    rng = random.Random(5)
+    digest = hashlib.sha256()
+    for _ in range(12):
+        num_nodes = rng.randint(4, 10)
+        topo = _random_topology(rng, num_nodes, (0.1, 0.2, 0.3, 0.7, 1.1),
+                                rng.randint(0, 2 * num_nodes))
+        for k in (1, 3, 5, 9):
+            digest.update(_table_digest(
+                precompute_paths(topo, k, REACH)).encode())
+    assert digest.hexdigest() == (
+        "48d910ddc38800f0adaf5886319b7a7a75d9eb32f513a5472206ff59141ca7aa")
+
+
+def test_thirty_node_tie_heavy_table_pinned():
+    # many paths of equal length: the guard against a search whose work
+    # grows with their number rather than with k
+    topo = _random_topology(random.Random(30), 30, (100.0, 200.0, 300.0), 30)
+    assert _table_digest(precompute_paths(topo, 5, REACH)) == (
+        "4779e2bfecf894675baf454f2c912bb1d129020a26895323d17a2445f96a3a58")
 
 
 def test_paths_sorted_loopless_deterministic(nsfnet):
