@@ -4,8 +4,12 @@ import os
 # its kernel from the CPU at run time, so the same code rounds differently
 # on different CPUs. The pins are recorded under the Haswell kernel: it
 # needs only AVX2, and OPENBLAS_CORETYPE=Zen selects it as well.
-# OpenBLAS reads the variable once, when numpy is first imported.
+# They are also recorded at one OpenBLAS thread: a product large enough to
+# be split across threads rounds differently under one thread than under
+# two or more, and one thread is all a one-CPU machine has. OpenBLAS reads
+# both variables once, when numpy is first imported.
 os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 import pytest

@@ -12,11 +12,16 @@ settings away from the defaults so that a setting passed to the wrong
 place changes a hash. The training hashes pin bit-exact float
 arithmetic, so a numpy or BLAS build that rounds differently can change
 them without any change to this package. They are recorded under
-OpenBLAS's Haswell kernel, which ``conftest.py`` selects
-(``OPENBLAS_CORETYPE=Haswell``) before numpy loads: OpenBLAS picks its
-kernel from the CPU at run time, and the SkylakeX kernel an AVX-512 CPU
-gets rounds differently. The baseline counts and the CLI baseline and
-eval hashes hold under either kernel.
+OpenBLAS's Haswell kernel at one thread, which ``conftest.py`` selects
+(``OPENBLAS_CORETYPE=Haswell``, ``OPENBLAS_NUM_THREADS=1``) before numpy
+loads. OpenBLAS picks its kernel from the CPU at run time, and the
+SkylakeX kernel an AVX-512 CPU gets rounds differently. It also splits a
+large product across its threads: the (50, 128) @ (128, 128) batch
+product in ``backward`` rounds differently under one thread than under
+two or more, while row stacks of up to 16 rows do not, so one thread is
+also what a one-CPU machine computes and what ``perfbench`` runs. The
+baseline counts and the CLI baseline and eval hashes hold under either
+kernel and any thread count.
 """
 
 import hashlib
@@ -33,15 +38,15 @@ TRAIN_EPOCHS = 20
 TRAIN_SHA256 = {
     "flx": {
         "metrics.csv":
-            "cae7598aa270541f9506cc48df1f06e93a562c940416ce6d9e6a0380ea631d42",
+            "737c3d35a2db2c8f545f7ec0a0c40b621149d6731f0ba92d9a2ff0511aaeb8c9",
         "checkpoint-final.npz":
-            "46bdbc668d05e16ecfddba7801d9bde0f84b7220ff72c9c82b7c32b03d917bd8",
+            "7ec616776fb13b2841362205a97344b8ccf3d73d68608417ce6698364478aea5",
     },
     "ep": {
         "metrics.csv":
-            "1d2da112009ac041213a5cb93fc9ff5b2428806db45bcf8050037de59b06ea21",
+            "8ffdc3fe7c1a52a9f58acadfef0a9bfc8d7199a1a4dc274b023e6850b59a1714",
         "checkpoint-final.npz":
-            "03a99fc0eeaf6334a7c4189291f301d014111e465528968a7736f8ec1d52c81f",
+            "b2c504bcd807201fd8c7ecc4cd2499adb2058663306b99d7e219443ab0ae6a24",
     },
 }
 
@@ -61,19 +66,19 @@ RUN_SERVED = {"flx-w2": (1098, 472), "flx-w16": (2372, 719),
 RUN_SHA256 = {
     "flx-w2": {
         "metrics.csv":
-            "bbe3e219f0bb36ba830030f3b1ac50884d89c509b808e5b5f72b7601b613871f",
+            "3ba93a492c044c1fba23539c6aca96c0cc76ba05238b055d1203bb23b373ccda",
         "checkpoint-final.npz":
-            "f8ccbab8d95a3ddf65b1e2571aee12d996571d1bb4b1c5bb5f738002d86310ae",
+            "c810621675c105bd254fc84094e85c39bccb098f506d75bab1f882a447c41ecb",
         "checkpoint-7.npz":
-            "3a4194ff7c662dddfb9056da7fd618c9b8f033a921d609e6cba6720f88d3589c",
+            "be0e342f7a58684adec1aae05541d82c5d70520377879ae164cc14f7aea3efdb",
     },
     "flx-w16": {
         "metrics.csv":
             "5481f56b804eb78c307c11b6fdc78b54897d7e51a51eedf1b5999f3779ea7523",
         "checkpoint-final.npz":
-            "ae674f0f09ea00109b5fc41145ad33bf1b0bf38b2b487fa39eac5ac294eed734",
+            "c73527621c931fbdc281a561959eba800988d13a9a7279536a1470d4d08a50ed",
         "checkpoint-7.npz":
-            "7f10aff67f5ec99d868f67b9b532157f762a40cbdff66aaeb1a8f27b264f47cd",
+            "5664d97b187aedded5a7df01244b7fff44d8bc0b9d832c882aecf4dc69ba5710",
     },
     "ep-w3-n1": {
         "metrics.csv":
@@ -87,9 +92,9 @@ RUN_SHA256 = {
         "metrics.csv":
             "ea193a9fea0e5dc02791e78654647b0bda74251ca20fcb903e22b7f075b7aa5e",
         "checkpoint-final.npz":
-            "485c0dbfd6c7622b818b95b9a53bd6923a42acbae1dfb8d0f1e55973c897d939",
+            "b9af6cf0ca6ed5b837a0939b5faea5d714bf6c95f5033970d670685c310c5e08",
         "checkpoint-7.npz":
-            "f799464f6e584ea63264dd5aeee29d75bc0791289da795ca2f1c1e17c48c39b7",
+            "96cfd03421adade97153c911a3922e13f68037121cdb6a247f45b21b3f3c4c1e",
     },
 }
 
