@@ -90,7 +90,12 @@ class Topology:
     def _search_index(self) -> _SearchIndex:
         """Link lengths, link ends and every node's shortest-path tree,
         built by the first path search and shared by every pair's."""
-        return _index_topology(self)
+        by_id = sorted(self.links, key=lambda ln: ln.id)
+        trees = [_lex_tree(self.adjacency, node) for node in self.nodes]
+        return _SearchIndex(tuple(ln.length_km for ln in by_id),
+                            tuple((ln.a, ln.b) for ln in by_id),
+                            tuple(lengths for lengths, _ in trees),
+                            tuple(sequences for _, sequences in trees))
 
     @property
     def nodes(self) -> range:
@@ -268,15 +273,6 @@ class _SearchIndex(NamedTuple):
     # per node, its lexicographic shortest-path tree (_lex_tree)
     tree_lengths: tuple[list[float], ...]
     tree_links: tuple[list[tuple[int, ...]], ...]
-
-
-def _index_topology(topo: Topology) -> _SearchIndex:
-    by_id = sorted(topo.links, key=lambda ln: ln.id)
-    trees = [_lex_tree(topo.adjacency, node) for node in topo.nodes]
-    return _SearchIndex(tuple(ln.length_km for ln in by_id),
-                        tuple((ln.a, ln.b) for ln in by_id),
-                        tuple(lengths for lengths, _ in trees),
-                        tuple(sequences for _, sequences in trees))
 
 
 def _nodes_along(link_ends: tuple[tuple[int, int], ...], start: int,
