@@ -6,8 +6,8 @@ Candidate paths between every node pair are computed once at startup
 (loopless K-shortest by length) and reused for the whole run, so path
 ordering and therefore action indices are stable across runs.
 
-The search is Yen's algorithm (1971) with two rules that skip work
-without changing the table:
+The search is Yen's algorithm (1971) with rules that skip work without
+changing the table:
 
 - Lawler's rule (1972): an accepted path is spurred only from the index
   at which it left the path it was found from. An earlier spur node sees
@@ -16,15 +16,17 @@ without changing the table:
 - The candidate bound: once r = k - (paths accepted) candidates are
   queued, no path longer than the r-th shortest of them can be accepted.
   A spur search drops each entry whose root length + length + unrestricted
-  distance to the destination exceeds that bound times 1 + 1e-9.
+  distance to the destination exceeds that bound times 1 + 1e-9. Once the
+  reverse pair has been searched, its k-th length caps the bound, since a
+  path and its reverse have the same length.
 
-Neither rule can change the table, because link lengths are strictly
-positive (``Topology`` rejects others), because the 1e-9 slack is far
-above the rounding of the bound's sums, and because a path's length is
-still ``root_len + spur_len``, summed by the spur search that first finds
-it. Each pair's first path and the distances the bound uses come from one
+No rule can change the table, because link lengths are strictly positive
+(``Topology`` rejects others), because the 1e-9 slack is far above the
+rounding of the bound's sums, and because a path's length is still
+``root_len + spur_len``, summed by the spur search that first finds it.
+Each pair's first path and the distances the bound uses come from one
 lexicographic shortest-path tree per node, built by the first search on a
-``Topology`` and kept on it.
+``Topology`` and kept on it with the k-th lengths found so far.
 """
 
 from __future__ import annotations
@@ -89,13 +91,15 @@ class Topology:
     @cached_property
     def _search_index(self) -> _SearchIndex:
         """Link lengths, link ends and every node's shortest-path tree,
-        built by the first path search and shared by every pair's."""
+        built by the first path search and shared by every pair's, and
+        the k-th lengths the searches have found."""
         by_id = sorted(self.links, key=lambda ln: ln.id)
         trees = [_lex_tree(self.adjacency, node) for node in self.nodes]
         return _SearchIndex(tuple(ln.length_km for ln in by_id),
                             tuple((ln.a, ln.b) for ln in by_id),
                             tuple(lengths for lengths, _ in trees),
-                            tuple(sequences for _, sequences in trees))
+                            tuple(sequences for _, sequences in trees),
+                            {})
 
     @property
     def nodes(self) -> range:
@@ -273,6 +277,8 @@ class _SearchIndex(NamedTuple):
     # per node, its lexicographic shortest-path tree (_lex_tree)
     tree_lengths: tuple[list[float], ...]
     tree_links: tuple[list[tuple[int, ...]], ...]
+    # (src, dst, k) -> length of the k-th path, for each search that found k
+    kth_lengths: dict[tuple[int, int, int], float]
 
 
 def _nodes_along(link_ends: tuple[tuple[int, int], ...], start: int,
@@ -329,7 +335,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
     has length ``root_len + spur_len``: the sum of the path's first i
     links plus the spur's own sum, each added from its start.
 
-    Two rules skip searches that cannot change the result:
+    Three bounds skip searches that cannot change the result:
 
     - Lawler's rule: an accepted path is spurred only from its
       deviation index, the index at which its own spur search found it,
@@ -341,13 +347,18 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
       r-th shortest queued one can be accepted, and that bound only
       falls. A spur search pushes no entry whose root length + length
       + unrestricted distance to ``dst`` exceeds it times 1 + 1e-9.
+    - The reverse pair's bound: a path and its reverse have the same
+      length, so once a search from ``dst`` to ``src`` has found ``k``
+      paths, no path longer than its k-th can be accepted here either.
+      It caps the candidate bound the same way.
 
     With strictly positive lengths, which ``Topology`` requires, an
-    entry on a path within the bound is never dropped, so neither rule
+    entry on a path within the bound is never dropped, so no rule
     changes which paths are accepted or their lengths: lengths are still
     summed as ``root_len + spur_len`` by the spur search that first
     finds the path, and the slack of 1e-9 covers the rounding of the
-    bound's own sums.
+    bound's own sums, which the reverse pair adds in the other order.
+    So the result does not depend on which pairs were searched before.
     """
     if src == dst:
         raise ValueError(f"source and destination are both node {src}")
@@ -359,6 +370,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
 
     index = topo._search_index
     to_dst = index.tree_lengths[dst]
+    ceiling = index.kth_lengths.get((dst, src, k), math.inf) * _BOUND_SLACK
     # a Topology is connected, so every node pair has a first path
     first = index.tree_links[src][dst]
     # (length, link ids, nodes, deviation index)
@@ -379,8 +391,8 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
             root_len += index.link_lengths[link_id]
         for i in range(deviation, len(base_links)):
             spur_node = base_nodes[i]
-            limit = (bound[-1] * _BOUND_SLACK if len(bound) == to_accept
-                     else math.inf)
+            limit = (min(bound[-1] * _BOUND_SLACK, ceiling)
+                     if len(bound) == to_accept else ceiling)
             if root_len + to_dst[spur_node] <= limit:
                 root_links = base_links[:i]
                 banned_links = {path_links[i]
@@ -407,6 +419,8 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
                          _nodes_along(index.link_ends, src, link_seq),
                          deviation))
 
+    if len(accepted) == k:
+        index.kth_lengths[(src, dst, k)] = accepted[-1][0]
     return [
         CandidatePath(
             nodes=node_seq,

@@ -235,6 +235,18 @@ def test_builtin_path_tables_pinned(name, k):
     assert _table_digest(table) == BUILTIN_TABLE_SHA256[(name, k)]
 
 
+def test_paths_do_not_depend_on_earlier_searches():
+    # a search bounds its pair by the reverse pair's k-th length once the
+    # reverse pair has been searched on the same Topology
+    links = load_topology("nsfnet", 100).links
+    forward, backward = (Topology(14, links, 100) for _ in range(2))
+    pairs = [(src, dst) for src in range(14) for dst in range(14) if src != dst]
+    table = {pair: k_shortest_paths(forward, *pair, 5, REACH)
+             for pair in pairs}
+    assert table == {pair: k_shortest_paths(backward, *pair, 5, REACH)
+                     for pair in reversed(pairs)}
+
+
 def test_non_integer_length_tables_pinned():
     # sums of lengths like 0.1 round, so a path's length depends on where
     # the search splits it into root and spur: the pins hold the
