@@ -335,7 +335,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
     has length ``root_len + spur_len``: the sum of the path's first i
     links plus the spur's own sum, each added from its start.
 
-    Three bounds skip searches that cannot change the result:
+    Three rules skip searches that cannot change the result:
 
     - Lawler's rule: an accepted path is spurred only from its
       deviation index, the index at which its own spur search found it,
