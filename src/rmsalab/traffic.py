@@ -6,7 +6,13 @@ immutable like a frozen dataclass, with the same fields, order and
 keywords, but built without a per-field ``object.__setattr__``. Each
 request takes five draws from its stream's generator in a fixed order
 (see ``RequestStream.next``); changing a draw or the order changes every
-seeded result.
+seeded result. The two exponentials go through ``Generator.exponential``;
+the endpoints and the bandwidth are drawn through the bit generator's own
+C functions (``bit_generator.ctypes``), by the same steps that
+``Generator.integers`` and ``Generator.random`` take, so the stream and
+the generator's state after it are those of the plain numpy calls. Those
+C calls skip the lock that ``Generator`` methods take, so a stream and its
+generator must have one owner.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+_UINT32_RANGE = 1 << 32
+_UINT32_MASK = _UINT32_RANGE - 1
 
 
 class Request(NamedTuple):
@@ -41,17 +50,33 @@ class TrafficConfig:
 
 
 class RequestStream:
-    """Stateful request source: monotone ids and a running clock."""
+    """Stateful request source: monotone ids and a running clock.
+
+    ``node_count`` is at most 2**32, the largest bound that
+    ``Generator.integers`` draws from one 32-bit word.
+    """
 
     def __init__(self, cfg: TrafficConfig, node_count: int,
                  rng: np.random.Generator):
         if node_count < 2:
             raise ValueError("need at least 2 nodes to generate demands")
+        if node_count > _UINT32_RANGE:
+            raise ValueError("node_count above 2**32 is not supported")
         self.cfg = cfg
         self.node_count = node_count
         self.rng = rng
         self.now = 0.0
         self._next_id = 0
+        # the state pointer lives as long as the bit generator, which
+        # self.rng keeps alive
+        bits = rng.bit_generator.ctypes
+        self._state = bits.state
+        self._next_uint32 = bits.next_uint32
+        self._next_double = bits.next_double
+        # Lemire's rejection thresholds, 2**32 mod bound, for the src and
+        # dst bounds; numpy computes the same on each call
+        self._src_threshold = _UINT32_RANGE % node_count
+        self._dst_threshold = _UINT32_RANGE % (node_count - 1)
 
     def next(self) -> Request:
         """Sample the next arrival after ``now`` and advance the clock.
@@ -60,19 +85,46 @@ class RequestStream:
         uniform over ordered pairs with src != dst, bandwidth uniform over
         the configured range, holding time exponential with the configured
         mean.
+
+        src and dst are Lemire's bounded draw (Lemire, 2019,
+        arXiv:1805.10941) over the bit generator's ``next_uint32``, the
+        steps of numpy's ``buffered_bounded_lemire_uint32`` behind
+        ``Generator.integers(bound)``: scale one 32-bit word by the bound,
+        redraw while the low half is under 2**32 mod bound, keep the high
+        half; a bound of 1 (dst on a 2-node graph) draws nothing, as
+        ``integers(1)`` does. The bandwidth is
+        ``low + (high - low) * next_double``: ``next_double`` is what
+        ``Generator.random()`` returns, and ``Generator.uniform(low, high)``
+        computes exactly this from it. The C functions advance the bit
+        generator's own state, including the buffered 32-bit half that
+        some generators keep, so every request and the generator's final
+        state equal those of the plain numpy calls. They skip
+        ``Generator``'s lock, so only the stream's owner may draw from it
+        or its generator. The two exponentials stay ``Generator`` calls.
         """
         rng = self.rng
         cfg = self.cfg
+        state = self._state
+        next_uint32 = self._next_uint32
         self.now += rng.exponential(1.0 / cfg.arrival_rate)
-        src = int(rng.integers(self.node_count))
-        dst = int(rng.integers(self.node_count - 1))
+        bound = self.node_count
+        m = next_uint32(state) * bound
+        while m & _UINT32_MASK < self._src_threshold:
+            m = next_uint32(state) * bound
+        src = m >> 32
+        bound -= 1
+        if bound == 1:
+            dst = 0
+        else:
+            m = next_uint32(state) * bound
+            while m & _UINT32_MASK < self._dst_threshold:
+                m = next_uint32(state) * bound
+            dst = m >> 32
         if dst >= src:
             dst += 1
-        # Generator.uniform(low, high) returns exactly low + (high - low) *
-        # random() from the same single draw; spelled out, it skips
-        # uniform's argument handling, which costs more than the draw itself.
         bandwidth = (cfg.bandwidth_min
-                     + (cfg.bandwidth_max - cfg.bandwidth_min) * rng.random())
+                     + (cfg.bandwidth_max - cfg.bandwidth_min)
+                     * self._next_double(state))
         duration = float(rng.exponential(cfg.mean_duration))
         req = Request(self._next_id, src, dst, bandwidth, duration, self.now)
         self._next_id += 1

@@ -109,6 +109,48 @@ def test_stream_matches_one_call_per_draw_reference(seed, bandwidth_range):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def assert_matches_reference(cfg, nodes, rng, ref_rng, count):
+    """The stream on ``rng`` gives the reference's requests, and both
+    generators end in the same state (compared with ``assert_equal``,
+    since MT19937's state holds an array)."""
+    stream = RequestStream(cfg, nodes, rng)
+    got = [tuple(stream.next()) for _ in range(count)]
+    assert got == reference_stream(cfg, nodes, ref_rng, count)
+    np.testing.assert_equal(rng.bit_generator.state,
+                            ref_rng.bit_generator.state)
+
+
+# 2**31 + 2 nodes: about half of all endpoint draws reject and redraw, so a
+# generator's buffered 32-bit half is carried across requests
+@pytest.mark.parametrize("nodes", [2, 14, 2**31 + 2])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_stream_matches_reference_on_every_bit_generator(nodes, bit_generator,
+                                                         buffered):
+    cfg = RunConfig().traffic()
+    rng = np.random.Generator(bit_generator(1905))
+    ref_rng = np.random.Generator(bit_generator(1905))
+    if buffered:
+        # one 32-bit draw first: the generators that split 64-bit words
+        # now hold the other half, which the stream's first draw must use
+        rng.integers(3)
+        ref_rng.integers(3)
+        if bit_generator is np.random.PCG64:
+            assert rng.bit_generator.state["has_uint32"] == 1
+    assert_matches_reference(cfg, nodes, rng, ref_rng, 2000)
+
+
+def test_node_count_bound_is_two_to_the_32():
+    cfg = RunConfig().traffic()
+    # the largest bound numpy draws from one 32-bit word: no rejection for
+    # src, Lemire's threshold of 1 for dst
+    assert_matches_reference(cfg, 2**32, np.random.default_rng(3),
+                             np.random.default_rng(3), 2000)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        RequestStream(cfg, 2**32 + 1, np.random.default_rng(3))
+
+
 def test_request_is_immutable():
     req = Request(0, src=1, dst=2, bandwidth_gbps=50.0, duration=3.0,
                   arrival_time=4.0)
