@@ -105,8 +105,7 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
     env = cfg.env(topo, paths)
 
     def decide(req) -> None:
-        state = encoder.encode(req, env.spectrum, env.candidate_paths(req),
-                               episode_length=cfg.batch_size)
+        state = encoder.encode(req, env.spectrum, env.candidate_paths(req))
         action = int(np.argmax(forward_policy(params, state)))
         env.step(req, action)
 

@@ -157,7 +157,8 @@ class RunConfig:
                             j_blocks=self.j_blocks, mode=self.mode,
                             mean_duration=self.mean_duration,
                             slot_capacity_gbps=self.slot_capacity_gbps,
-                            bandwidth_max_gbps=self.bandwidth_max)
+                            bandwidth_max_gbps=self.bandwidth_max,
+                            episode_length=self.batch_size)
 
     def train(self, topology: Topology, paths,
               out_dir: str | Path, progress: bool = False) -> TrainingResult:

@@ -41,16 +41,26 @@ def state_length(node_count: int, k_paths: int, j_blocks: int,
 
 
 class StateEncoder:
-    """Pure encoder from (request, spectrum snapshot) to a feature array."""
+    """Pure encoder from (request, spectrum snapshot) to a feature array.
+
+    ``episode_length`` is N, the requests per episode, from which a
+    request's position follows; it is required in episode mode and ignored
+    otherwise.
+    """
 
     def __init__(self, topology: Topology, *, k_paths: int, j_blocks: int,
                  mode: str, mean_duration: float, slot_capacity_gbps: float,
-                 bandwidth_max_gbps: float):
+                 bandwidth_max_gbps: float, episode_length: int | None = None):
+        self.with_position = mode == "ep"
+        if self.with_position and (episode_length is None
+                                   or episode_length < 1):
+            raise ValueError("the episode position needs an episode length "
+                             f">= 1 in ep mode, got {episode_length}")
+        self.episode_length = episode_length
         self.node_count = topology.num_nodes
         self.slot_count = topology.slot_count
         self.k_paths = k_paths
         self.j_blocks = j_blocks
-        self.with_position = mode == "ep"
         self.tau_scale = 2.0 * mean_duration
         self.slot_capacity_gbps = slot_capacity_gbps
         self.max_slots = required_slots(bandwidth_max_gbps, 1, slot_capacity_gbps)
@@ -63,21 +73,13 @@ class StateEncoder:
         self._absent_group = MISSING_BLOCK * j_blocks + (0.0, 0.0, 0.0)
 
     def encode(self, req: Request, spectrum: NetworkSpectrum,
-               paths: tuple[CandidatePath, ...],
-               episode_length: int | None = None) -> np.ndarray:
+               paths: tuple[CandidatePath, ...]) -> np.ndarray:
         """Encode one decision point.
 
         ``paths`` are the precomputed candidates for (req.src, req.dst);
         if the graph offers fewer than K, the missing path groups encode
-        as all-missing blocks with zero free spectrum. ``episode_length``
-        is N, the requests per episode, from which the request's position
-        follows; it is required in episode mode and ignored otherwise.
+        as all-missing blocks with zero free spectrum.
         """
-        if self.with_position and (episode_length is None
-                                   or episode_length < 1):
-            raise ValueError("the episode position needs an episode length "
-                             f">= 1 in ep mode, got {episode_length}")
-
         n_nodes = self.node_count
         f0 = float(self.slot_count)
         out = np.zeros(self.length, dtype=np.float64)
@@ -102,5 +104,6 @@ class StateEncoder:
         out[self._groups] = values
 
         if self.with_position:
-            out[-1] = (episode_length - req.id % episode_length) / episode_length
+            n = self.episode_length
+            out[-1] = (n - req.id % n) / n
         return out

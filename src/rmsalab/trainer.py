@@ -5,10 +5,10 @@ the behaviour snapshot of it that they all act on, the settings, the
 state encoder and the run's outputs. Each actor owns a private
 environment, demand stream, action RNG and sample buffer. Training runs
 in rounds on one thread, and a round serves one request per actor in
-three steps:
+groups; each group takes three steps:
 
-1. every actor, in worker order, refreshes the snapshot if due (below),
-   draws its request and encodes it;
+1. the snapshot is refreshed if due (below), and every actor of the
+   group, in worker order, draws its request and encodes it;
 2. one ``forward_policy`` call on the row stack of their states gives
    every actor's action probabilities;
 3. every actor, in worker order, draws its action by roulette on its own
@@ -16,12 +16,10 @@ three steps:
    buffer reaches its trigger trains at once.
 
 Gradients are thus applied in a fixed order and a run is reproducible
-from its seed. One epoch is one gradient application; the run stops as
-soon as the configured epoch count is reached, so only the actors up to
-the apply that reaches it take part in the final round, counted from the
-buffer lengths before the round starts. A fault in an actor's part of a
-round aborts the run with an error that names the actor. Two return
-rules exist, and both train on the first N buffered samples:
+from its seed. One epoch is one gradient application, and the run stops
+as soon as the configured epoch count is reached. A fault in an actor's
+part of a round aborts the run with an error that names the actor. Two
+return rules exist, and both train on the first N buffered samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
   state carries the request's position within it, and the return of the
@@ -31,31 +29,25 @@ rules exist, and both train on the first N buffered samples:
   2N - 1 samples; each of the first N samples gets a return over exactly
   the N rewards that follow it, and the trained samples are dropped.
 
-An actor refreshes the snapshot when its buffer holds trigger - N samples
-(at each ``ep`` episode start, or with N - 1 ``flx`` samples left): it
-copies the global parameters in if they have moved since the last copy.
-One snapshot thus serves all W actors exactly as W private copies would:
-it changes only at a refresh, to what a private copy would get there.
+After every round but the final one, every buffer holds the same number
+of samples, L, so a round follows from L and the trigger T (N, or 2N - 1):
 
-A round splits into groups, each with one stacked policy forward: a new
-group starts at an actor whose refresh falls due after an earlier actor
-of the current group will have applied a gradient. Within a group the
-snapshot then changes only at refreshes that precede all of the group's
-actions, so each actor acts on the snapshot it would act on if the
-actors were served one at a time. Every buffer has the same length after
-each round, so for N >= 2 a round is one group: all actors refresh in
-the same round, in which no gradient is applied, and only the first
-copies. For N = 1 each actor refreshes just before it acts and trains,
-after the previous actor's update, and so forms a group of its own. A
-stacked row is exact: ``forward_policy`` runs an ``(n, d)`` stack as n
-separate 1 x d products, so each row has the bits of its single-state
-call, and every roulette draw picks what it would pick one at a time.
+* when L + 1 = T every actor that takes part trains, so only the actors
+  up to the apply that reaches the epoch count take part;
+* at L = T - N (each ``ep`` episode start, or with N - 1 ``flx``
+  samples left) past epoch 0, the global parameters are copied into the
+  snapshot. Each such point follows an apply since the last copy, so one
+  snapshot serves all W actors exactly as W private copies would;
+* for N >= 2 no round both refreshes and trains, so a round is one group
+  that refreshes before any actor acts. For N = 1 every round does both,
+  and an actor must refresh after the previous actor's apply, so each
+  actor is a group of its own.
 
-The backward pass is not stacked. One ``(W, N, .)`` pass over the actors
-that train in a round gives the same bits, but an interleaved probe on
-the default 5 x 128 nets (N = 50, one BLAS thread) timed it at about
-5.0 ms per actor against 3.0 ms for W separate calls at W = 2, and at
-3.0 ms for both at W = 16.
+Each actor thus acts on the snapshot it would act on if the actors were
+served one at a time. A stacked row is exact: ``forward_policy`` runs an
+``(n, d)`` stack as n separate 1 x d products, so each row has the bits
+of its single-state call, and every roulette draw picks what it would
+pick one at a time.
 
 The critic's value estimate enters only the advantages of a trained
 batch, so a sample is buffered without one. When a buffer reaches its
@@ -198,8 +190,8 @@ class MetricsWriter:
 
 class ParamStore:
     """The one object the W actors share: the run's ``TrainingConfig`` and
-    state encoder, the global parameters, the behaviour snapshot with the
-    epoch it was copied at, the metrics stream and the output directory."""
+    state encoder, the global parameters, the behaviour snapshot of them,
+    the metrics stream and the output directory."""
 
     def __init__(self, params: ParamSet, cfg: TrainingConfig,
                  encoder: StateEncoder, metrics: MetricsWriter,
@@ -210,7 +202,6 @@ class ParamStore:
         self.metrics = metrics
         self.out_dir = out_dir
         self.snapshot = params.clone()
-        self.snapshot_epoch = self.epoch
 
     @property
     def epoch(self) -> int:
@@ -242,27 +233,14 @@ def _failed(actor: Actor, exc: Exception) -> RuntimeError:
     return RuntimeError(f"worker {actor.worker_id} failed: {exc}")
 
 
-def actor_arrive(actor: Actor, store: ParamStore,
-                 trigger: int) -> tuple[Request, np.ndarray]:
-    """The first step of ``actor``'s part of a round: refresh the snapshot
-    at ``trigger - N`` buffered samples, if the global parameters have
-    moved since it was copied; then draw the next request and encode it.
-    """
-    n = store.cfg.batch_size
-    buffer = actor.buffer
-    if len(buffer) == trigger - n and store.snapshot_epoch != store.epoch:
-        if any(smp.value is None for smp in buffer):
-            raise ContractViolation(
-                f"worker {actor.worker_id}: refresh at epoch {store.epoch} "
-                "finds samples not yet valued under the snapshot they "
-                "acted with")
-        store.sync_into(store.snapshot)
-        store.snapshot_epoch = store.epoch
+def actor_arrive(actor: Actor,
+                 store: ParamStore) -> tuple[Request, np.ndarray]:
+    """The first step of ``actor``'s part of a round: draw the next request
+    and encode it."""
     env = actor.env
     req = env.arrive()
     return req, store.encoder.encode(req, env.spectrum,
-                                     env.candidate_paths(req),
-                                     episode_length=n)
+                                     env.candidate_paths(req))
 
 
 def actor_act(actor: Actor, store: ParamStore, req: Request,
@@ -313,30 +291,29 @@ def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
                 returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
     """Serve one lockstep round under a return rule: the actors up to the
     apply that reaches the configured epoch count take part, in groups that
-    each make one stacked policy forward (see the module docstring)."""
-    due = store.cfg.epochs - store.epoch
-    refresh_at = trigger - store.cfg.batch_size
-    groups: list[list[Actor]] = [[]]
-    applies = False
-    for actor in actors:
-        if applies and len(actor.buffer) == refresh_at:
-            groups.append([])
-            applies = False
-        groups[-1].append(actor)
-        if len(actor.buffer) + 1 == trigger:
-            applies = True
-            due -= 1
-            if due == 0:
-                break
-    for group in groups:
+    each refresh the snapshot if due and make one stacked policy forward
+    (see the module docstring)."""
+    cfg = store.cfg
+    n = cfg.batch_size
+    length = len(actors[0].buffer)
+    if length + 1 == trigger:
+        actors = actors[:cfg.epochs - store.epoch]
+    for group in [[actor] for actor in actors] if n == 1 else [actors]:
+        if length == trigger - n and store.epoch > 0:
+            for actor in group:
+                if any(smp.value is None for smp in actor.buffer):
+                    fault = ContractViolation(
+                        f"worker {actor.worker_id}: refresh at epoch "
+                        f"{store.epoch} finds samples not yet valued under "
+                        "the snapshot they acted with")
+                    raise _failed(actor, fault) from fault
+            store.sync_into(store.snapshot)
         arrivals = []
         for actor in group:
             try:
-                arrivals.append(actor_arrive(actor, store, trigger))
+                arrivals.append(actor_arrive(actor, store))
             except Exception as exc:
                 raise _failed(actor, exc) from exc
-        # np.array builds the same row stack as np.stack at about a
-        # quarter of its fixed per-call cost
         probs = forward_policy(store.snapshot,
                                np.array([state for _, state in arrivals]))
         for actor, (req, state), row in zip(group, arrivals, probs):
@@ -407,7 +384,8 @@ def run_training(cfg: TrainingConfig, topology: Topology, paths,
         topology, k_paths=k_paths, j_blocks=j_blocks, mode=cfg.mode,
         mean_duration=traffic.mean_duration,
         slot_capacity_gbps=slot_capacity_gbps,
-        bandwidth_max_gbps=traffic.bandwidth_max)
+        bandwidth_max_gbps=traffic.bandwidth_max,
+        episode_length=cfg.batch_size)
     layer_spec = LayerSpec(encoder.length, hidden_layers, hidden_width,
                            k_paths * j_blocks)
     actors = [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmsalab.config import RunConfig
-from rmsalab.features import MISSING_BLOCK, state_length
+from rmsalab.features import MISSING_BLOCK, StateEncoder, state_length
 from rmsalab.spectrum import NetworkSpectrum
 from rmsalab.topology import Link, Topology, precompute_paths, required_slots
 from rmsalab.traffic import Request
@@ -13,8 +13,9 @@ SLOT_GBPS = RunConfig().slot_capacity_gbps
 
 
 def make_encoder(topo, mode="flx", k_paths=5, j_blocks=1):
-    return RunConfig(mode=mode, k_paths=k_paths,
-                     j_blocks=j_blocks).encoder(topo)
+    # in ep mode every encoder here has episodes of N = 50 requests
+    return RunConfig(mode=mode, k_paths=k_paths, j_blocks=j_blocks,
+                     batch_size=50).encoder(topo)
 
 
 def test_state_length_formula(nsfnet):
@@ -67,14 +68,19 @@ def test_position_indicator_in_episode_mode(nsfnet, nsfnet_paths):
     encoder = make_encoder(nsfnet, "ep")
     req = Request(0, 0, 1, 50.0, 10.0, 0.0)
     # request id i - 1 is at position i of an episode, 1-based
-    first = encoder.encode(req, spectrum, nsfnet_paths[(0, 1)],
-                           episode_length=50)
+    first = encoder.encode(req, spectrum, nsfnet_paths[(0, 1)])
     last = encoder.encode(req._replace(id=49), spectrum,
-                          nsfnet_paths[(0, 1)], episode_length=50)
+                          nsfnet_paths[(0, 1)])
     assert first[-1] == 1.0
     assert last[-1] == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("episode_length", [None, 0])
+def test_episode_mode_needs_an_episode_length(nsfnet, episode_length):
     with pytest.raises(ValueError, match="position"):
-        encoder.encode(req, spectrum, nsfnet_paths[(0, 1)])
+        StateEncoder(nsfnet, k_paths=5, j_blocks=1, mode="ep",
+                     mean_duration=15.0, slot_capacity_gbps=SLOT_GBPS,
+                     bandwidth_max_gbps=100.0, episode_length=episode_length)
 
 
 def test_flx_mode_ignores_position(nsfnet, nsfnet_paths):
@@ -170,8 +176,7 @@ def test_encoding_stays_in_unit_range(nsfnet, nsfnet_paths, set_grid, seed,
     req = Request(int(rng.integers(0, 1000)), int(src), int(dst),
                   float(rng.uniform(25, 100)), float(rng.exponential(15.0)),
                   0.0)
-    state = encoder.encode(req, spectrum, nsfnet_paths[(src, dst)],
-                           episode_length=50)
+    state = encoder.encode(req, spectrum, nsfnet_paths[(src, dst)])
     assert state.shape == (encoder.length,)
     assert np.all(state >= -1.0) and np.all(state <= 1.0)
     assert state[0:14].sum() == 1.0 and state[14:28].sum() == 1.0
@@ -241,9 +246,8 @@ def test_vectorised_encoding_matches_per_path_reference(
                           float(rng.exponential(15.0)), 0.0)
             paths = table[(src, dst)]
             expected = reference_encode(encoder, req, spectrum, paths, 50)
-            assert np.array_equal(
-                encoder.encode(req, spectrum, paths, episode_length=50),
-                expected)
+            assert np.array_equal(encoder.encode(req, spectrum, paths),
+                                  expected)
     # the triangle offers fewer than K paths, NSFNET all K
     assert {len(p) for p in table.values()} == (
         {2} if topo_name == "triangle" else {5})

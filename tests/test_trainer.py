@@ -168,10 +168,10 @@ def test_ep_position_indicator_sequence(nsfnet, nsfnet_paths, tmp_path,
     seen = []
     original = StateEncoder.encode
 
-    def spy(self, req, spectrum, paths, episode_length=None):
-        state = original(self, req, spectrum, paths,
-                         episode_length=episode_length)
-        seen.append((req.id % episode_length + 1, episode_length, state[-1]))
+    def spy(self, req, spectrum, paths):
+        state = original(self, req, spectrum, paths)
+        n = self.episode_length
+        seen.append((req.id % n + 1, n, state[-1]))
         return state
 
     monkeypatch.setattr(StateEncoder, "encode", spy)
@@ -226,7 +226,7 @@ def test_flx_copies_the_snapshot_once_per_sync_round(
 
 @pytest.mark.parametrize("mode, batch_size, rows", [
     ("flx", 5, [3] * 18 + [1]), ("ep", 5, [3] * 14 + [1]),
-    ("ep", 1, [1] * 7)])
+    ("ep", 1, [1] * 7), ("flx", 1, [1] * 7)])
 def test_a_round_makes_one_stacked_policy_forward_per_group(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, batch_size, rows):
     seen = []
@@ -244,6 +244,26 @@ def test_a_round_makes_one_stacked_policy_forward_per_group(
     # actor refreshes after the previous one's apply, so each is a group
     assert seen == rows
     assert sum(rows) == result.total_requests
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 5])
+@pytest.mark.parametrize("mode", ["ep", "flx"])
+def test_every_buffer_has_the_same_length_after_each_round(
+        nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, batch_size):
+    lengths = []
+    real_round = trainer_mod._WORKER_LOOPS[mode]
+
+    def serve(actors, store):
+        real_round(actors, store)
+        lengths.append({len(actor.buffer) for actor in actors})
+
+    monkeypatch.setitem(trainer_mod._WORKER_LOOPS, mode, serve)
+    small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=7,
+              batch_size=batch_size, workers=3)
+    # a round's schedule is read off the first buffer; only the final
+    # round, after which the run stops, may serve some of the actors
+    assert len(lengths) >= 3
+    assert all(len(seen) == 1 for seen in lengths[:-1])
 
 
 @pytest.mark.parametrize("mode, workers, batch_size",
@@ -421,12 +441,11 @@ def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
     calls = {"n": 0}
     original = StateEncoder.encode
 
-    def exploding(self, req, spectrum, paths, episode_length=None):
+    def exploding(self, req, spectrum, paths):
         calls["n"] += 1
         if calls["n"] > 12:
             raise RuntimeError("synthetic worker fault")
-        return original(self, req, spectrum, paths,
-                        episode_length=episode_length)
+        return original(self, req, spectrum, paths)
 
     monkeypatch.setattr(StateEncoder, "encode", exploding)
     # the 13th request is served by worker 0 in the seventh round
