@@ -6,11 +6,6 @@ reward +1, anything else -1, and an infeasible choice never falls back to
 a different path. The first-fit baselines are SP-FF, the agent's action 0,
 and KSP-FF, which tries each candidate path in length order; all place
 through one block query, ``NetworkSpectrum.path_blocks``.
-
-Every decision returns a new ``ProvisionOutcome``. It is a slotted, not a
-frozen, dataclass: a frozen ``__init__`` writes each field through
-``object.__setattr__``, which costs about three times as much per
-request, while ``dataclasses.replace`` and field access stay as they were.
 """
 
 from __future__ import annotations

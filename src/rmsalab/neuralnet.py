@@ -61,9 +61,8 @@ class LayerSpec:
 
 
 def _aligned_zeros(n: int) -> np.ndarray:
-    """``n`` float64 zeros starting on a 64-byte boundary. The weight views
-    inherit ``flat``'s address, and the forward pass reads a 64-byte-aligned
-    vector measurably faster than one wherever the heap happens to put it."""
+    """``n`` float64 zeros starting on a 64-byte boundary, which the weight
+    views inherit from ``flat``."""
     buf = np.zeros(n + 8)
     start = -buf.ctypes.data % 64 // 8
     return buf[start:start + n]
@@ -342,8 +341,8 @@ def adam_apply(params: ParamSet, grads: np.ndarray, lr: float,
     t = params.adam_step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    # walked block by block: single passes over the whole vectors measured
-    # slower, as each operation streams all of them through memory again
+    # walked block by block, so that each block stays in cache through all
+    # five updates instead of each update streaming the whole vectors
     edges = range(ADAM_BLOCK, grads.size, ADAM_BLOCK)
     for p, g, m, v in zip(*(np.split(x, edges) for x in (
             params.flat, grads, params.adam_m, params.adam_v))):

@@ -6,25 +6,9 @@ Candidate paths between every node pair are computed once at startup
 (loopless K-shortest by length) and reused for the whole run, so path
 ordering and therefore action indices are stable across runs.
 
-The search is Yen's algorithm (1971) with rules that skip work without
-changing the table:
-
-- Lawler's rule (1972): an accepted path is spurred only from the index
-  at which it left the path it was found from. An earlier spur node sees
-  the same root and the same banned links as a search already made, so it
-  could only find a path already generated.
-- The candidate bound: once r = k - (paths accepted) candidates are
-  queued, no path longer than the r-th shortest of them can be accepted.
-  A spur search drops each entry whose root length + length + unrestricted
-  distance to the destination exceeds that bound times 1 + 1e-9. Once the
-  reverse pair has been searched, its k-th length caps the bound, since a
-  path and its reverse have the same length.
-
-No rule can change the table, because link lengths are strictly positive
-(``Topology`` rejects others), because the 1e-9 slack is far above the
-rounding of the bound's sums, and because a path's length is still
-``root_len + spur_len``, summed by the spur search that first finds it.
-Each pair's first path and the distances the bound uses come from one
+The search is Yen's algorithm (1971) with the rules of
+``k_shortest_paths`` that skip work without changing the table. Each
+pair's first path and the distances the bound uses come from one
 lexicographic shortest-path tree per node, built by the first search on a
 ``Topology`` and kept on it with the k-th lengths found so far.
 """
@@ -337,7 +321,7 @@ def k_shortest_paths(topo: Topology, src: int, dst: int, k: int,
 
     Three rules skip searches that cannot change the result:
 
-    - Lawler's rule: an accepted path is spurred only from its
+    - Lawler's rule (1972): an accepted path is spurred only from its
       deviation index, the index at which its own spur search found it,
       onward. At an earlier index the root and the banned links are
       those of a spur search already made, so it can only find a path

@@ -6,13 +6,7 @@ immutable like a frozen dataclass, with the same fields, order and
 keywords, but built without a per-field ``object.__setattr__``. Each
 request takes five draws from its stream's generator in a fixed order
 (see ``RequestStream.next``); changing a draw or the order changes every
-seeded result. The two exponentials go through ``Generator.exponential``;
-the endpoints and the bandwidth are drawn through the bit generator's own
-C functions (``bit_generator.ctypes``), by the same steps that
-``Generator.integers`` and ``Generator.random`` take, so the stream and
-the generator's state after it are those of the plain numpy calls. Those
-C calls skip the lock that ``Generator`` methods take, so a stream and its
-generator must have one owner.
+seeded result.
 """
 
 from __future__ import annotations
@@ -86,16 +80,18 @@ class RequestStream:
         the configured range, holding time exponential with the configured
         mean.
 
-        src and dst are Lemire's bounded draw (Lemire, 2019,
-        arXiv:1805.10941) over the bit generator's ``next_uint32``, the
-        steps of numpy's ``buffered_bounded_lemire_uint32`` behind
+        The endpoints and the bandwidth are drawn through the bit
+        generator's own C functions (``bit_generator.ctypes``). src and dst
+        are Lemire's bounded draw (Lemire, 2019, arXiv:1805.10941) over
+        ``next_uint32``, the steps of numpy's
+        ``buffered_bounded_lemire_uint32`` behind
         ``Generator.integers(bound)``: scale one 32-bit word by the bound,
         redraw while the low half is under 2**32 mod bound, keep the high
         half; a bound of 1 (dst on a 2-node graph) draws nothing, as
         ``integers(1)`` does. The bandwidth is
-        ``low + (high - low) * next_double``: ``next_double`` is what
-        ``Generator.random()`` returns, and ``Generator.uniform(low, high)``
-        computes exactly this from it. The C functions advance the bit
+        ``low + (high - low) * next_double``, which is what
+        ``Generator.uniform(low, high)`` computes from the value
+        ``Generator.random()`` returns. The C functions advance the bit
         generator's own state, including the buffered 32-bit half that
         some generators keep, so every request and the generator's final
         state equal those of the plain numpy calls. They skip
