@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 # The fingerprint pins hold bit-exact float arithmetic, and OpenBLAS picks
 # its kernel from the CPU at run time, so the same code rounds differently
@@ -10,6 +12,27 @@ import os
 # both variables once, when numpy is first imported.
 os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# numpy also picks its own SIMD loops from the CPU when it loads, and its
+# AVX-512 exp, expm1 and log loops round differently from its AVX2 ones,
+# so the pins are recorded with the AVX-512 tiers disabled. The variable
+# accepts only names the installed numpy dispatches and this CPU supports
+# (others fail the import), so a fresh interpreter, without the variable,
+# reads both lists first; older numpy and CPUs without AVX-512 get fewer
+# names, or none.
+_SIMD_PROBE = """
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(" ".join(name for name in __cpu_dispatch__
+               if __cpu_features__.get(name)
+               and (name == "X86_V4" or name.startswith("AVX512"))))
+"""
+os.environ["NPY_DISABLE_CPU_FEATURES"] = subprocess.run(
+    [sys.executable, "-c", _SIMD_PROBE], capture_output=True, text=True,
+    check=True, env={k: v for k, v in os.environ.items()
+                     if k != "NPY_DISABLE_CPU_FEATURES"}).stdout.strip()
 
 import numpy as np
 import pytest

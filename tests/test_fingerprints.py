@@ -9,19 +9,30 @@ gradients sum into one array. The CLI pins cover the path from a config
 file to the artifacts ``rmsalab`` writes: both baselines, a tiny
 episode-mode training run and a greedy eval of its checkpoint, on
 settings away from the defaults so that a setting passed to the wrong
-place changes a hash. The training hashes pin bit-exact float
-arithmetic, so a numpy or BLAS build that rounds differently can change
-them without any change to this package. They are recorded under
-OpenBLAS's Haswell kernel at one thread, which ``conftest.py`` selects
-(``OPENBLAS_CORETYPE=Haswell``, ``OPENBLAS_NUM_THREADS=1``) before numpy
-loads. OpenBLAS picks its kernel from the CPU at run time, and the
-SkylakeX kernel an AVX-512 CPU gets rounds differently. It also splits a
-large product across its threads: the (50, 128) @ (128, 128) batch
-product in ``backward`` rounds differently under one thread than under
-two or more, while row stacks of up to 16 rows do not, so one thread is
-also what a one-CPU machine computes and what ``perfbench`` runs. The
-baseline counts and the CLI baseline and eval hashes hold under either
-kernel and any thread count.
+place changes a hash.
+
+The training hashes pin bit-exact float arithmetic, so a numpy or BLAS
+build that rounds differently can change them without any change to
+this package. ``conftest.py`` selects three settings before numpy loads,
+and the hashes are recorded under them:
+
+* OpenBLAS's Haswell kernel (``OPENBLAS_CORETYPE=Haswell``). OpenBLAS
+  picks its kernel from the CPU at run time, and the SkylakeX kernel an
+  AVX-512 CPU gets rounds differently.
+* One OpenBLAS thread (``OPENBLAS_NUM_THREADS=1``). The (50, 128) @
+  (128, 128) batch product in ``backward`` rounds differently under one
+  thread than under two or more, while row stacks of up to 16 rows do
+  not, so one thread is also what a one-CPU machine computes and what
+  ``perfbench`` runs.
+* numpy's AVX2 dispatch tier (``NPY_DISABLE_CPU_FEATURES`` names the
+  AVX-512 tiers this numpy dispatches and this CPU supports). numpy picks
+  its ``exp``, ``expm1`` and ``log`` loops from the CPU when it loads,
+  and its AVX-512 loops round differently.
+
+The pins are x86-64 only: the Haswell kernel and the AVX2 tier exist
+only there. The baseline counts and the CLI baseline and eval hashes hold
+under either kernel and any thread count, and under either dispatch tier
+so do the served and blocked counts of every training pin.
 """
 
 import hashlib
@@ -38,15 +49,15 @@ TRAIN_EPOCHS = 20
 TRAIN_SHA256 = {
     "flx": {
         "metrics.csv":
-            "737c3d35a2db2c8f545f7ec0a0c40b621149d6731f0ba92d9a2ff0511aaeb8c9",
+            "b7bb132602acf5d7f459c6a5fc6994fd2ffa94aa5b293a3951c7aa473d6e5c79",
         "checkpoint-final.npz":
-            "7ec616776fb13b2841362205a97344b8ccf3d73d68608417ce6698364478aea5",
+            "644baacd8824817a22ff291ae99443d3f5457e20d1f0794256e06f331d1eda6b",
     },
     "ep": {
         "metrics.csv":
-            "8ffdc3fe7c1a52a9f58acadfef0a9bfc8d7199a1a4dc274b023e6850b59a1714",
+            "edd6c420090dd127a145aa849f608dd0f5209ef1c08e30d5db679df2e7daa6f6",
         "checkpoint-final.npz":
-            "b2c504bcd807201fd8c7ecc4cd2499adb2058663306b99d7e219443ab0ae6a24",
+            "b5210c5811cde6474ca1e0b5022480d7df7baf584bbc7bbc2646e001bf27f193",
     },
 }
 
@@ -66,35 +77,35 @@ RUN_SERVED = {"flx-w2": (1098, 472), "flx-w16": (2372, 719),
 RUN_SHA256 = {
     "flx-w2": {
         "metrics.csv":
-            "3ba93a492c044c1fba23539c6aca96c0cc76ba05238b055d1203bb23b373ccda",
+            "b2e9d86e73902d9554a019f9b10734cdf58d32655d99ae0230cb95c8aa791b8f",
         "checkpoint-final.npz":
-            "c810621675c105bd254fc84094e85c39bccb098f506d75bab1f882a447c41ecb",
+            "4510b89eaf4b5379e058b7561629f6bd0a406aa73c1d48e7c15a4269673879b1",
         "checkpoint-7.npz":
-            "be0e342f7a58684adec1aae05541d82c5d70520377879ae164cc14f7aea3efdb",
+            "5965b070d73b83d056f7c6eeeaa2871419fafd3291ed011d776d7208c648b0fc",
     },
     "flx-w16": {
         "metrics.csv":
-            "5481f56b804eb78c307c11b6fdc78b54897d7e51a51eedf1b5999f3779ea7523",
+            "9e332c609de2cfe783ca178bbb7ed3a20b4587db11efcf0749f2860c29ed2dfd",
         "checkpoint-final.npz":
-            "c73527621c931fbdc281a561959eba800988d13a9a7279536a1470d4d08a50ed",
+            "da01f8eb2fa377bfd74c866d50d9d5cb496be49192e92cea4ee3f888c050cae0",
         "checkpoint-7.npz":
-            "5664d97b187aedded5a7df01244b7fff44d8bc0b9d832c882aecf4dc69ba5710",
+            "078b67aa3ed2cf166a2210f42478e6a2affdf53e93323081bc5fc012ce6abcaf",
     },
     "ep-w3-n1": {
         "metrics.csv":
-            "a97c2469efcae510f33cef3ef5cf38dd212e7d2f41387f06d8f2158ad95e6750",
+            "1b9f2a24c71447e0972e599b54be1959b99be031595ac507505ecb323907d81f",
         "checkpoint-final.npz":
-            "376693d76b66b20d2207174140438193a86d76cc354ae84a107fc7f103c63e58",
+            "e108a3c8ec6668502491d0b742e3eac12e7dc5c3a3fd19351a4434b643cb3277",
         "checkpoint-7.npz":
-            "b33aaf4e03bc9e7e59dc0ce3be6a05cd4fc8fbfdb3333cc0b8d006a7ebf54b70",
+            "f89272b298cc628cbd3fd6ec13923335ab87e45607a8263fe0bcff497026b625",
     },
     "flx-shared": {
         "metrics.csv":
-            "ea193a9fea0e5dc02791e78654647b0bda74251ca20fcb903e22b7f075b7aa5e",
+            "c4524d4ed99e66cda443b819c3be4ee4be9a4d90a8da6d08f6ff2dbe486d76c7",
         "checkpoint-final.npz":
-            "b9af6cf0ca6ed5b837a0939b5faea5d714bf6c95f5033970d670685c310c5e08",
+            "948ef495cc01fb2ddb5165edb8a12d268ce968724675a8c07ce287107c34911f",
         "checkpoint-7.npz":
-            "96cfd03421adade97153c911a3922e13f68037121cdb6a247f45b21b3f3c4c1e",
+            "38fcfa9966d665d4474e2545ace35382001614f8d0387cbccc8faa0d83bbe3a6",
     },
 }
 
@@ -129,7 +140,7 @@ CLI_SHA256 = {
         "summary.txt":
             "b6bcc2c8a187646f1075996130e871be680d3ae763f37c76f72c286a519dfe27",
         "checkpoint-final.npz":
-            "409e8aac19ed6dfa9186c3bda880186495ca6dd24bfc9a02374d1ec7383cc381",
+            "97f9ef9efdafba4d6cbfb46d01671a9c836b7b04a512950a09fa623d4fb6e869",
     },
     "eval": {
         "metrics.csv":
