@@ -293,12 +293,12 @@ def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
     apply that reaches the configured epoch count take part, in groups that
     each refresh the snapshot if due and make one stacked policy forward
     (see the module docstring)."""
-    cfg = store.cfg
-    n = cfg.batch_size
+    n = store.cfg.batch_size
     length = len(actors[0].buffer)
     if length + 1 == trigger:
-        actors = actors[:cfg.epochs - store.epoch]
-    for group in [[actor] for actor in actors] if n == 1 else [actors]:
+        actors = actors[:store.cfg.epochs - store.epoch]
+    groups = [[actor] for actor in actors] if n == 1 else [actors]
+    for group in groups:
         if length == trigger - n and store.epoch > 0:
             for actor in group:
                 if any(smp.value is None for smp in actor.buffer):
