@@ -16,10 +16,11 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 # numpy also picks its own SIMD loops from the CPU when it loads, and its
 # AVX-512 exp, expm1 and log loops round differently from its AVX2 ones,
 # so the pins are recorded with the AVX-512 tiers disabled. The variable
-# accepts only names the installed numpy dispatches and this CPU supports
-# (others fail the import), so a fresh interpreter, without the variable,
-# reads both lists first; older numpy and CPUs without AVX-512 get fewer
-# names, or none.
+# may name only features the installed numpy dispatches and this CPU
+# supports: numpy warns at import about any other name, which fails a run
+# under -W error. So a fresh interpreter, without the variable, reads both
+# lists first; older numpy and CPUs without AVX-512 get fewer names, or
+# none.
 _SIMD_PROBE = """
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
