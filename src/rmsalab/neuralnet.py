@@ -185,34 +185,48 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
     return params
 
 
-# ELU and its derivative in min/max form, not ``np.where``: ``where``
-# evaluates both branches, so ``expm1`` or ``exp`` of a large positive input
-# would overflow (and warn) for a value it discards, and on ``(n, 1, w)`` row
-# stacks it takes a slow path. These forms give the ``where`` formulas' bits
-# for every input except an exact -0.0, which ``_elu`` maps to +0.0.
+# ELU as ``maximum(x, expm1(minimum(x, 0)))`` and its derivative in min form,
+# not ``np.where``: ``where`` evaluates both branches, so ``expm1`` or ``exp``
+# of a large positive input would overflow (and warn) for a value it
+# discards. For x < 0, expm1(x) >= x, and the two meet where |x| is tiny.
+# These forms give the ``where`` formulas' bits for every input except an
+# exact -0.0, which ``_elu`` maps to +0.0: checked on infinities, NaN,
+# subnormals, a logspace band from -1e-320 to -1e-1 and normal draws, under
+# numpy's AVX2 and AVX-512 dispatch tiers.
 def _elu(x: np.ndarray) -> np.ndarray:
     out = np.minimum(x, 0.0)
     np.expm1(out, out=out)
-    out += np.maximum(x, 0.0)
-    return out
+    return np.maximum(x, out, out=out)
 
 
 def _elu_grad(pre: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(pre, 0.0))
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b``: a 1-D ``dot`` rounds like a one-row stack's
+    ``matmul``."""
+    out = x.dot(w) if x.ndim == 1 else x @ w
+    out += b
+    return out
+
+
 def _forward_trace(weights, biases, x: np.ndarray):
     """Forward pass keeping layer inputs and pre-activations for backprop;
     the last pre-activation is the net's output."""
     inputs = [x]
-    pres = [x @ weights[0] + biases[0]]
+    pres = [_affine(x, weights[0], biases[0])]
     for w, b in zip(weights[1:], biases[1:]):
         inputs.append(_elu(pres[-1]))
-        pres.append(inputs[-1] @ w + b)
+        pres.append(_affine(inputs[-1], w, b))
     return inputs, pres
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
+    if logits.ndim == 1:
+        e = np.exp(logits - logits.max())
+        e /= e.sum()
+        return e
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -268,7 +282,8 @@ def _backprop(weights, inputs, pres, dout, grads_w, grads_b) -> None:
         grads_w[layer] += inputs[layer].T @ delta
         grads_b[layer] += delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * _elu_grad(pres[layer - 1])
+            delta = delta @ weights[layer].T
+            delta *= _elu_grad(pres[layer - 1])
 
 
 def backward(params: ParamSet, batch: Batch, entropy_weight: float,

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rmsalab
 from rmsalab.errors import ContractViolation
 from rmsalab.neuralnet import (Batch, LayerSpec, adam_apply, backward,
                                entropy, forward_policy, forward_value,
@@ -97,13 +102,16 @@ def test_policy_row_stack_matches_single_states(shared, width, n):
     assert np.array_equal(stacked, np.array(single))
 
 
-def test_elu_kernels_equal_the_where_formulas():
+def check_elu_kernels():
     tiny = np.finfo(np.float64).smallest_subnormal
     grid = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
                      1e3 * tiny, -1e3 * tiny, 800.0, -800.0, 709.0, 710.0,
                      -745.0, 1e-300, -1e-300, 1.0, -1.0])
+    # where |x| is tiny, expm1(x) meets x, so ``maximum`` must pick the
+    # expm1 bits in a tie and never the input's over a low expm1
+    band = -np.logspace(-320, -1, 2000)
     values = np.concatenate(
-        [grid, np.random.default_rng(5).normal(scale=4.0, size=(1000,))])
+        [grid, band, np.random.default_rng(5).normal(scale=4.0, size=(1000,))])
     with np.errstate(over="ignore"):
         elu = np.where(values > 0.0, values, np.expm1(values))
         grad = np.where(values >= 0.0, 1.0, np.exp(values))
@@ -113,6 +121,69 @@ def test_elu_kernels_equal_the_where_formulas():
                               equal_nan=True)
     # the one input whose bits move: -0.0 maps to +0.0
     assert not np.signbit(_elu(np.array([-0.0]))[0])
+
+
+def reference_forward(weights, biases, state):
+    """The layer loop as plain ``x @ w + b`` and the four-call ELU."""
+    x = state @ weights[0] + biases[0]
+    for w, b in zip(weights[1:], biases[1:]):
+        elu = np.minimum(x, 0.0)
+        np.expm1(elu, out=elu)
+        elu += np.maximum(x, 0.0)
+        x = elu @ w + b
+    return x
+
+
+KERNEL_CASES = [(shared, width) for shared in (False, True)
+                for width in (16, 128)]
+
+
+def check_single_state_forward(shared, width):
+    params = init_params(LayerSpec(54, 5, width, 5), 11,
+                         shared_hidden=shared, head_scale=1.0)
+    for state in np.random.default_rng(width).uniform(0, 1, size=(50, 54)):
+        logits = reference_forward(params.policy_weights,
+                                   params.policy_biases, state)
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        assert forward_policy(params, state).tobytes() == probs.tobytes()
+        value = reference_forward(params.value_weights, params.value_biases,
+                                  state)
+        assert np.float64(forward_value(params, state)).tobytes() == \
+            value.tobytes()
+
+
+def test_elu_kernels_equal_the_where_formulas():
+    check_elu_kernels()
+
+
+@pytest.mark.parametrize("shared, width", KERNEL_CASES)
+def test_single_state_forward_matches_the_reference_forward(shared, width):
+    # bit-for-bit: the greedy decision's ``dot``, ELU and softmax kernels
+    # against the plain matmul, four-call ELU and keepdims softmax
+    check_single_state_forward(shared, width)
+
+
+def test_kernels_match_under_numpy_avx512_tiers():
+    # the benchmark runs with every SIMD tier numpy finds, and the tests
+    # with its AVX-512 tiers disabled (conftest.py); rerun both checks in
+    # an interpreter that has them enabled
+    if not os.environ.get("NPY_DISABLE_CPU_FEATURES"):
+        pytest.skip("no AVX-512 tier of numpy runs on this CPU")
+    paths = [str(Path(__file__).parent),
+             str(Path(rmsalab.__file__).parents[1])]
+    script = "\n".join([
+        "import sys",
+        f"sys.path[:0] = {paths!r}",
+        "import test_neuralnet as t",
+        "t.check_elu_kernels()",
+        "for case in t.KERNEL_CASES:",
+        "    t.check_single_state_forward(*case)"])
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    result = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_large_pre_activations_do_not_overflow():
