@@ -9,10 +9,9 @@ files for training runs, and ``summary.txt``.
 Exit codes: 0 success, 1 configuration problem (including a missing or
 malformed topology), 2 runtime failure.
 
-The console script leaves OpenBLAS's thread count as the environment sets
-it: importing a library must not change process-wide BLAS settings. The
-pinned results hold at ``OPENBLAS_NUM_THREADS=1``; a run at more threads
-can round differently.
+OpenBLAS's thread count is left to the environment, since importing a
+library must not change a process-wide setting; the pinned results hold
+at ``OPENBLAS_NUM_THREADS=1``, and more threads can round differently.
 """
 
 from __future__ import annotations

@@ -186,13 +186,11 @@ def init_params(spec: LayerSpec, seed: int, shared_hidden: bool = False,
 
 
 # ELU as ``maximum(x, expm1(minimum(x, 0)))`` and its derivative in min form,
-# not ``np.where``: ``where`` evaluates both branches, so ``expm1`` or ``exp``
-# of a large positive input would overflow (and warn) for a value it
-# discards. For x < 0, expm1(x) >= x, and the two meet where |x| is tiny.
-# These forms give the ``where`` formulas' bits for every input except an
-# exact -0.0, which ``_elu`` maps to +0.0: checked on infinities, NaN,
-# subnormals, a logspace band from -1e-320 to -1e-1 and normal draws, under
-# numpy's AVX2 and AVX-512 dispatch tiers.
+# not ``np.where``, which evaluates both branches, so ``expm1`` or ``exp`` of
+# a large positive input would overflow (and warn). For x < 0, expm1(x) >= x,
+# equal where |x| is tiny. Both give the ``where`` bits on every input but an
+# exact -0.0 (``_elu`` gives +0.0): checked on infinities, NaN, subnormals,
+# -1e-320 to -1e-1 and normal draws, under numpy's AVX2 and AVX-512 tiers.
 def _elu(x: np.ndarray) -> np.ndarray:
     out = np.minimum(x, 0.0)
     np.expm1(out, out=out)
@@ -204,8 +202,7 @@ def _elu_grad(pre: np.ndarray) -> np.ndarray:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``x @ w + b``: a 1-D ``dot`` rounds like a one-row stack's
-    ``matmul``."""
+    """``x @ w + b``; a 1-D ``dot`` rounds as a one-row ``matmul`` does."""
     out = x.dot(w) if x.ndim == 1 else x @ w
     out += b
     return out
@@ -225,8 +222,7 @@ def _forward_trace(weights, biases, x: np.ndarray):
 def _softmax(logits: np.ndarray) -> np.ndarray:
     if logits.ndim == 1:
         e = np.exp(logits - logits.max())
-        e /= e.sum()
-        return e
+        return np.divide(e, e.sum(), out=e)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
