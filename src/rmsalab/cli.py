@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -120,29 +121,28 @@ def cmd_eval(cfg: RunConfig, out_dir: Path) -> int:
 def _read_metrics(path: Path) -> list[dict]:
     parsed = {"epoch": int, "blocking_prob": float, "value_loss": float}
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read metrics file {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty metrics file") from None
+    if tuple(header) != METRICS_COLUMNS:
+        raise ConfigError(f"{path}: unexpected header {header}")
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(METRICS_COLUMNS):
+            raise ConfigError(
+                f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} "
+                f"fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty metrics file") from None
-        if tuple(header) != METRICS_COLUMNS:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(METRICS_COLUMNS):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(METRICS_COLUMNS)} "
-                    f"fields, got {len(row)}")
-            try:
-                rows.append({name: parse(row[METRICS_COLUMNS.index(name)])
-                             for name, parse in parsed.items()})
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed row {row}"
-                                  ) from None
+            rows.append({name: parse(row[METRICS_COLUMNS.index(name)])
+                         for name, parse in parsed.items()})
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: malformed row {row}"
+                              ) from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     return rows

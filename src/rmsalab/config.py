@@ -229,6 +229,6 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=str(path))

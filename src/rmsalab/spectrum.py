@@ -104,8 +104,3 @@ class NetworkSpectrum:
 
     def occupied_slot_count(self) -> int:
         return sum(used.bit_count() for used in self._links)
-
-    def dump(self) -> str:
-        """Debug snapshot: one 0/1 row per link, slot 0 first."""
-        return "\n".join(format(used, f"0{self.slot_count}b")[::-1]
-                         for used in self._links)

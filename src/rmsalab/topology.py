@@ -62,6 +62,10 @@ class Topology:
         self.links = tuple(links)
         self.slot_count = slot_count
         self._validate()
+        # a connected graph has at least num_nodes - 1 links; a node count
+        # past that is rejected before any per-node list is allocated
+        if num_nodes > len(self.links) + 1:
+            raise TopologyError("graph is not connected")
         # adjacency[node] -> ((link_id, neighbor, length_km), ...) sorted by
         # link id so path search is deterministic
         adj: list[list[tuple[int, int, float]]] = [[] for _ in range(num_nodes)]
@@ -197,7 +201,7 @@ def load_topology(source: str | Path, slot_count: int) -> Topology:
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TopologyError(f"cannot read topology file {path}: {exc}") from None
     return parse_topology(text, slot_count, source=str(path))
 

@@ -3,7 +3,7 @@
 W actors share one object, a ``ParamStore``: the global parameter set,
 the behaviour snapshot of it that they all act on, the settings, the
 state encoder and the run's outputs. Each actor owns a private
-environment, demand stream, action RNG and sample buffer. Training runs
+environment, demand stream, action RNG and sample columns. Training runs
 in rounds on one thread, and a round serves one request per actor in
 groups; each group takes three steps:
 
@@ -12,24 +12,24 @@ groups; each group takes three steps:
 2. one ``forward_policy`` call on the row stack of their states gives
    every actor's action probabilities;
 3. every actor, in worker order, draws its action by roulette on its own
-   RNG, serves its request and buffers the sample, and an actor whose
-   buffer reaches its trigger trains at once.
+   RNG, serves its request and appends the sample, and an actor whose
+   samples reach its trigger trains at once.
 
 Gradients are thus applied in a fixed order and a run is reproducible
 from its seed. One epoch is one gradient application, and the run stops
 as soon as the configured epoch count is reached. A fault in an actor's
 part of a round aborts the run with an error that names the actor. Two
-return rules exist, and both train on the first N buffered samples:
+return rules exist, and both train on an actor's first N samples:
 
 * episode mode (``ep``): every batch of N requests is an episode; the
   state carries the request's position within it, and the return of the
   i-th sample aggregates the remaining rewards of its own episode, so
   late samples see returns built from very few rewards.
-* sliding-window mode (``flx``): training fires once the buffer holds
+* sliding-window mode (``flx``): training fires once an actor holds
   2N - 1 samples; each of the first N samples gets a return over exactly
   the N rewards that follow it, and the trained samples are dropped.
 
-After every round but the final one, every buffer holds the same number
+After every round but the final one, every actor holds the same number
 of samples, L, so a round follows from L and the trigger T (N, or 2N - 1):
 
 * when L + 1 = T every actor that takes part trains, so only the actors
@@ -50,14 +50,15 @@ of its single-state call, and every roulette draw picks what it would
 pick one at a time.
 
 The critic's value estimate enters only the advantages of a trained
-batch, so a sample is buffered without one. When a buffer reaches its
-trigger, every sample still without a value gets one from a single
-stacked ``forward_value`` call on the behaviour snapshot, before the
-batch trains. A value must come from the snapshot its sample acted with,
-and this rule gives exactly that: the samples without a value at a
-trigger are exactly those acted since the snapshot last changed. A copy
-that finds a sample without a value raises ``ContractViolation``; the
-lockstep schedule never does this.
+batch, so a sample is stored without one: an actor keeps its samples as
+four columns, and ``values`` covers a prefix of the other three. At a
+trigger, one stacked ``forward_value`` call on the behaviour snapshot
+values the rest, before the batch trains. A value must come from the
+snapshot its sample acted with, and this rule gives exactly that: the
+samples past the valued prefix at a trigger are exactly those acted
+since the snapshot last changed. A copy that finds a sample past the
+prefix raises ``ContractViolation``; the lockstep schedule never does
+this.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .neuralnet import (Batch, LayerSpec, ParamSet, adam_apply, backward,
                         forward_policy, forward_value, init_params,
                         save_checkpoint)
 from .topology import Topology
-from .traffic import Request, TrafficConfig
+from .traffic import TrafficConfig
 
 METRICS_COLUMNS = ("epoch", "worker", "requests_total", "requests_blocked",
                    "cum_reward_1k", "blocking_prob", "policy_loss",
@@ -108,17 +109,6 @@ class TrainingConfig:
     grad_clip: float
     checkpoint_every: int
     metrics_window: int
-
-
-@dataclass(slots=True)
-class ExperienceSample:
-    """One decision: state, chosen action, reward, and the value estimate,
-    which stays ``None`` until the buffer reaches its trigger."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    value: float | None = None
 
 
 def discounted_returns(rewards, gamma: float) -> np.ndarray:
@@ -220,12 +210,16 @@ class ParamStore:
 
 @dataclass
 class Actor:
-    """One worker's private state."""
+    """One worker's private state; its samples are four columns, and
+    ``values`` covers a prefix of the other three."""
 
     worker_id: int
     env: RmsaEnv
     rng: np.random.Generator
-    buffer: list[ExperienceSample] = field(default_factory=list)
+    states: list[np.ndarray] = field(default_factory=list)
+    actions: list[int] = field(default_factory=list)
+    rewards: list[float] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
 
 
 def _failed(actor: Actor, exc: Exception) -> RuntimeError:
@@ -233,75 +227,50 @@ def _failed(actor: Actor, exc: Exception) -> RuntimeError:
     return RuntimeError(f"worker {actor.worker_id} failed: {exc}")
 
 
-def actor_arrive(actor: Actor,
-                 store: ParamStore) -> tuple[Request, np.ndarray]:
-    """The first step of ``actor``'s part of a round: draw the next request
-    and encode it."""
-    env = actor.env
-    req = env.arrive()
-    return req, store.encoder.encode(req, env.spectrum,
-                                     env.candidate_paths(req))
-
-
-def actor_act(actor: Actor, store: ParamStore, req: Request,
-              state: np.ndarray, probs: np.ndarray, trigger: int,
-              returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
-    """The last step of ``actor``'s part of a round: draw an action from
-    ``probs``, serve ``req`` with it and buffer the sample.
-
-    Once the buffer holds ``trigger`` samples, the samples without a value
-    estimate get one in a single stacked pass, and
-    ``returns_fn(rewards, gamma)`` gives the returns of the first N: their
+def train_actor(actor: Actor, store: ParamStore,
+                returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
+    """Train on ``actor``'s first N samples: one stacked pass on the
+    snapshot values the samples past the valued prefix, and
+    ``returns_fn(rewards, gamma)`` gives the returns of the first N. Their
     gradient is applied, the metrics row and any due checkpoint are
-    written, and the N samples are dropped.
-    """
+    written, and the N samples are dropped from every column."""
     cfg = store.cfg
     n = cfg.batch_size
-    buffer = actor.buffer
-    env = actor.env
-    action = roulette_select(probs, actor.rng)
-    outcome = env.step(req, action)
-    buffer.append(ExperienceSample(state, action, outcome.reward))
-    if len(buffer) == trigger:
-        pending = [smp for smp in buffer if smp.value is None]
-        estimates = forward_value(store.snapshot,
-                                  np.array([smp.state for smp in pending]))
-        for smp, value in zip(pending, estimates.tolist()):
-            smp.value = value
-        rewards = np.array([smp.reward for smp in buffer])
-        returns = returns_fn(rewards, cfg.gamma)
-        samples = buffer[:n]
-        states = np.array([smp.state for smp in samples])
-        actions = np.array([smp.action for smp in samples], dtype=np.intp)
-        values = np.array([smp.value for smp in samples])
-        batch = Batch(states, actions, returns - values, returns)
-        grads, stats = backward(store.snapshot, batch, cfg.entropy_weight,
-                                ENTROPY_SIGNS[cfg.entropy_sign])
-        epoch = store.apply(grads)
-        if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            save_checkpoint(store.params,
-                            store.out_dir / f"checkpoint-{epoch}.npz")
-        store.metrics.write_row(
-            epoch, actor.worker_id, env.stats, cfg.metrics_window,
-            (stats.policy_loss, stats.value_loss, stats.entropy))
-        del buffer[:n]
+    actor.values += forward_value(
+        store.snapshot, np.array(actor.states[len(actor.values):])).tolist()
+    returns = returns_fn(np.array(actor.rewards), cfg.gamma)
+    batch = Batch(np.array(actor.states[:n]),
+                  np.array(actor.actions[:n], dtype=np.intp),
+                  returns - np.array(actor.values[:n]), returns)
+    grads, stats = backward(store.snapshot, batch, cfg.entropy_weight,
+                            ENTROPY_SIGNS[cfg.entropy_sign])
+    epoch = store.apply(grads)
+    if cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+        save_checkpoint(store.params,
+                        store.out_dir / f"checkpoint-{epoch}.npz")
+    store.metrics.write_row(
+        epoch, actor.worker_id, actor.env.stats, cfg.metrics_window,
+        (stats.policy_loss, stats.value_loss, stats.entropy))
+    for column in (actor.states, actor.actions, actor.rewards, actor.values):
+        del column[:n]
 
 
 def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
                 returns_fn: Callable[[np.ndarray, float], np.ndarray]) -> None:
     """Serve one lockstep round under a return rule: the actors up to the
     apply that reaches the configured epoch count take part, in groups that
-    each refresh the snapshot if due and make one stacked policy forward
-    (see the module docstring)."""
+    each refresh the snapshot if due and make one stacked policy forward;
+    an actor whose samples reach ``trigger`` trains (see the module
+    docstring)."""
     n = store.cfg.batch_size
-    length = len(actors[0].buffer)
+    length = len(actors[0].rewards)
     if length + 1 == trigger:
         actors = actors[:store.cfg.epochs - store.epoch]
     groups = [[actor] for actor in actors] if n == 1 else [actors]
     for group in groups:
         if length == trigger - n and store.epoch > 0:
             for actor in group:
-                if any(smp.value is None for smp in actor.buffer):
+                if len(actor.values) < len(actor.rewards):
                     fault = ContractViolation(
                         f"worker {actor.worker_id}: refresh at epoch "
                         f"{store.epoch} finds samples not yet valued under "
@@ -311,14 +280,22 @@ def serve_round(actors: list[Actor], store: ParamStore, trigger: int,
         arrivals = []
         for actor in group:
             try:
-                arrivals.append(actor_arrive(actor, store))
+                req = actor.env.arrive()
+                arrivals.append((req, store.encoder.encode(
+                    req, actor.env.spectrum, actor.env.candidate_paths(req))))
             except Exception as exc:
                 raise _failed(actor, exc) from exc
         probs = forward_policy(store.snapshot,
                                np.array([state for _, state in arrivals]))
         for actor, (req, state), row in zip(group, arrivals, probs):
             try:
-                actor_act(actor, store, req, state, row, trigger, returns_fn)
+                action = roulette_select(row, actor.rng)
+                reward = actor.env.step(req, action).reward
+                actor.states.append(state)
+                actor.actions.append(action)
+                actor.rewards.append(reward)
+                if len(actor.rewards) == trigger:
+                    train_actor(actor, store, returns_fn)
             except Exception as exc:
                 raise _failed(actor, exc) from exc
 

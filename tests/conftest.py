@@ -96,6 +96,18 @@ def set_grid():
     return _set_grid
 
 
+def _grid(spectrum):
+    """``spectrum``'s grid as text: one 0/1 row per link, slot 0 first."""
+    return "\n".join(format(used, f"0{spectrum.slot_count}b")[::-1]
+                     for used in spectrum._links)
+
+
+@pytest.fixture(scope="session")
+def grid():
+    """The one way tests read a spectrum grid directly."""
+    return _grid
+
+
 def _replaced(key, change):
     """Writes the saved arrays with ``key``'s made from the saved one."""
     return lambda path, arrays, raw: np.savez(

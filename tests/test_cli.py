@@ -341,6 +341,28 @@ def test_runtime_failure_exits_2(tmp_path, capsys):
 
 
 
+# the first bytes of a zip archive, as a checkpoint file starts; 0xb6 is
+# not valid UTF-8
+NOT_UTF8 = b"PK\x03\x04\x14\x00\x00\x00\x00\x00\xb6\x8f"
+
+
+@pytest.mark.parametrize("reader", ["config", "topology", "metrics"])
+def test_a_file_not_in_utf8_is_a_config_error_that_names_it(tmp_path, capsys,
+                                                            reader):
+    bad = tmp_path / "checkpoint.npz"
+    bad.write_bytes(NOT_UTF8)
+    cfg_path = tmp_path / "run.cfg"
+    write_config(cfg_path, mode="kspff", topology=str(bad))
+    out = ("--out", str(tmp_path / "b"))
+    argv = {"config": ("baseline", "--config", str(bad), *out),
+            "topology": ("baseline", "--config", str(cfg_path), *out),
+            "metrics": ("summarize", str(bad))}[reader]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(bad) in err
+
+
 def test_unknown_topology_is_a_config_error(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     write_config(cfg_path, mode="ep", topology="nsfnett")

@@ -60,17 +60,17 @@ def test_departure_scheduled_at_arrival_plus_duration(nsf_env):
     assert nsf_env.spectrum.occupied_slot_count() == 0
 
 
-def test_blocked_request_leaves_state_unchanged(nsfnet, nsfnet_paths):
+def test_blocked_request_leaves_state_unchanged(nsfnet, nsfnet_paths, grid):
     env = make_env(nsfnet, nsfnet_paths)
     # saturate path 3 of a pair, then ask for it explicitly
     req = fixed_request(src=0, dst=5)
     path = env.candidate_paths(req)[3]
     env.spectrum.allocate(path, 0, 100, lightpath_id=999)
-    before = env.spectrum.dump()
+    before = grid(env.spectrum)
     out = env.step(req, action=3)
     assert not out.accepted and out.reward == -1.0
     assert out.start_slot is None and out.n_slots is None
-    assert env.spectrum.dump() == before
+    assert grid(env.spectrum) == before
     # and no departure is scheduled
     assert env.release_due(math.inf) == []
     assert env.stats.blocked == 1
@@ -106,7 +106,7 @@ def test_sp_ff_on_empty_grid(nsf_env):
     assert out.accepted and out.path_index == 0 and out.start_slot == 0
 
 
-def test_sp_ff_equivalent_to_step_action_zero(nsfnet, nsfnet_paths):
+def test_sp_ff_equivalent_to_step_action_zero(nsfnet, nsfnet_paths, grid):
     env_a = make_env(nsfnet, nsfnet_paths, seed=5)
     env_b = make_env(nsfnet, nsfnet_paths, seed=5)
     for _ in range(2000):
@@ -117,7 +117,7 @@ def test_sp_ff_equivalent_to_step_action_zero(nsfnet, nsfnet_paths):
         out_b = env_b.step(req_b, action=0)
         assert out_a.accepted == out_b.accepted
         assert out_a.start_slot == out_b.start_slot
-    assert env_a.spectrum.dump() == env_b.spectrum.dump()
+    assert grid(env_a.spectrum) == grid(env_b.spectrum)
 
 
 def test_ksp_blocks_only_when_all_paths_full(triangle):

@@ -84,13 +84,13 @@ def test_duplicate_lightpath_id_rejected(line, line_spectrum):
         line_spectrum.allocate(path, 5, 2, 1)
 
 
-def test_release_restores_occupancy(line, line_spectrum):
+def test_release_restores_occupancy(line, line_spectrum, grid):
     path = _two_link_path(line)
-    before = line_spectrum.dump()
+    before = grid(line_spectrum)
     line_spectrum.allocate(path, 3, 4, lightpath_id=7)
-    assert line_spectrum.dump() != before
+    assert grid(line_spectrum) != before
     line_spectrum.release(7)
-    assert line_spectrum.dump() == before
+    assert grid(line_spectrum) == before
     with pytest.raises(ContractViolation, match="not active"):
         line_spectrum.release(7)
 
@@ -100,16 +100,16 @@ def test_release_unknown_rejected(line_spectrum):
         line_spectrum.release(42)
 
 
-def test_release_order_does_not_matter(line, line_spectrum):
+def test_release_order_does_not_matter(line, line_spectrum, grid):
     path = _two_link_path(line)
-    empty = line_spectrum.dump()
+    empty = grid(line_spectrum)
     for order in ((1, 2, 3), (3, 1, 2)):
         line_spectrum.allocate(path, 0, 2, 1)
         line_spectrum.allocate(path, 2, 2, 2)
         line_spectrum.allocate(path, 4, 2, 3)
         for lightpath_id in order:
             line_spectrum.release(lightpath_id)
-        assert line_spectrum.dump() == empty
+        assert grid(line_spectrum) == empty
 
 
 def test_usable_block_spans_filters_small_blocks(line, line_spectrum,
@@ -123,10 +123,11 @@ def test_usable_block_spans_filters_small_blocks(line, line_spectrum,
                                                         (9, 1)]
 
 
-def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
+def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths,
+                                                    grid):
     rng = np.random.default_rng(11)
     spectrum = NetworkSpectrum(nsfnet)
-    baseline = spectrum.dump()
+    baseline = grid(spectrum)
     pairs = list(nsfnet_paths)
     active = {}
     next_id = 0
@@ -150,7 +151,7 @@ def test_allocate_release_random_sequences_identity(nsfnet, nsfnet_paths):
         assert spectrum.occupied_slot_count() == expected
     for lightpath_id in sorted(active):
         spectrum.release(lightpath_id)
-    assert spectrum.dump() == baseline
+    assert grid(spectrum) == baseline
 
 
 def test_blocks_are_maximal_disjoint_and_reconstruct_mask(nsfnet,
@@ -273,14 +274,14 @@ def test_block_query_rejects_bad_demand(nsfnet, nsfnet_paths):
             spectrum.path_blocks(path, n, 1)
 
 
-def test_overlapping_allocate_writes_no_link(line, line_spectrum):
+def test_overlapping_allocate_writes_no_link(line, line_spectrum, grid):
     # the conflict is on the path's last link only, so a write before
     # every link is checked would show on the first
     line_spectrum.allocate(_one_link_path(line, 1, 2), 4, 2, 1)
-    before = line_spectrum.dump()
+    before = grid(line_spectrum)
     with pytest.raises(ContractViolation, match="overlap"):
         line_spectrum.allocate(_two_link_path(line), 3, 3, 2)
-    assert line_spectrum.dump() == before
+    assert grid(line_spectrum) == before
     assert line_spectrum.occupied_slot_count() == 2
     with pytest.raises(ContractViolation, match="not active"):
         line_spectrum.release(2)
@@ -288,9 +289,10 @@ def test_overlapping_allocate_writes_no_link(line, line_spectrum):
     assert line_spectrum.occupied_slot_count() == 0
 
 
-def test_dump_is_zero_one_rows(line, line_spectrum):
+def test_allocate_writes_its_slots_on_every_path_link(line, line_spectrum,
+                                                      grid):
     line_spectrum.allocate(_one_link_path(line, 0, 1), 0, 3, 9)
-    rows = line_spectrum.dump().splitlines()
+    rows = grid(line_spectrum).splitlines()
     assert rows == ["1110000000", "0000000000"]
     line_spectrum.allocate(_two_link_path(line), 5, 2, 10)
-    assert line_spectrum.dump() == "1110011000\n0000011000"
+    assert grid(line_spectrum) == "1110011000\n0000011000"

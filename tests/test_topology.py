@@ -105,6 +105,13 @@ def test_disconnected_graph_rejected():
         parse_topology(text, 100)
 
 
+def test_node_count_past_the_link_count_rejected_before_allocating():
+    # one list per node would take far more memory than the run has
+    text = "nodes 4294967296\nlink 0 0 1 100\n"
+    with pytest.raises(TopologyError, match="not connected"):
+        parse_topology(text, 100)
+
+
 def test_zero_length_link_rejected():
     text = "nodes 2\nlink 0 0 1 0\n"
     with pytest.raises(TopologyError, match="non-positive length"):

@@ -251,19 +251,25 @@ def test_a_round_makes_one_stacked_policy_forward_per_group(
 def test_every_buffer_has_the_same_length_after_each_round(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch, mode, batch_size):
     lengths = []
+    valued = []
     real_round = trainer_mod._WORKER_LOOPS[mode]
 
     def serve(actors, store):
         real_round(actors, store)
-        lengths.append({len(actor.buffer) for actor in actors})
+        lengths.append({len(column) for actor in actors for column in
+                        (actor.states, actor.actions, actor.rewards)})
+        valued.append(all(len(actor.values) <= len(actor.rewards)
+                          for actor in actors))
 
     monkeypatch.setitem(trainer_mod._WORKER_LOOPS, mode, serve)
     small_run(nsfnet, nsfnet_paths, tmp_path, mode, epochs=7,
               batch_size=batch_size, workers=3)
-    # a round's schedule is read off the first buffer; only the final
-    # round, after which the run stops, may serve some of the actors
+    # a round's schedule is read off the first actor's samples; only the
+    # final round, after which the run stops, may serve some of the actors
     assert len(lengths) >= 3
     assert all(len(seen) == 1 for seen in lengths[:-1])
+    # the values cover a prefix of every actor's samples
+    assert all(valued)
 
 
 @pytest.mark.parametrize("mode, workers, batch_size",
@@ -279,8 +285,8 @@ def test_acting_and_values_use_the_last_synced_snapshot(
     counts = {"probs": 0, "values": 0}
     real_init = trainer_mod.ParamStore.__init__
     real_sync = trainer_mod.ParamStore.sync_into
-    real_arrive = trainer_mod.actor_arrive
-    real_act = trainer_mod.actor_act
+    real_round = trainer_mod.serve_round
+    real_train = trainer_mod.train_actor
     real_encode = StateEncoder.encode
     real_roulette = trainer_mod.roulette_select
     real_backward = trainer_mod.backward
@@ -293,43 +299,48 @@ def test_acting_and_values_use_the_last_synced_snapshot(
         real_sync(self, behaviour)
         now["params"] = self.params.clone()
 
-    # a round encodes every actor's state before any of them acts, so the
-    # worker in force is set at each of its two steps
-    def actor_arrive(actor, store, *args):
-        now["worker"] = actor.worker_id
-        return real_arrive(actor, store, *args)
+    # a round encodes every actor's state before any of them acts, so each
+    # step finds its worker from what it is given: the env's spectrum when
+    # encoding, the actor's RNG when drawing an action
+    def serve_round(actors, *args):
+        now["actors"] = actors
+        real_round(actors, *args)
 
-    def actor_act(actor, store, *args):
-        now["worker"] = actor.worker_id
+    def worker_of(owns):
+        return next(actor.worker_id for actor in now["actors"] if owns(actor))
+
+    def train_actor(actor, *args):
         now["actor"] = actor
-        real_act(actor, store, *args)
+        real_train(actor, *args)
 
-    def encode(self, *args, **kwargs):
-        state = real_encode(self, *args, **kwargs)
-        acted.setdefault(now["worker"], []).append((state, now["params"]))
+    def encode(self, req, spectrum, paths):
+        state = real_encode(self, req, spectrum, paths)
+        worker = worker_of(lambda actor: actor.env.spectrum is spectrum)
+        acted.setdefault(worker, []).append((state, now["params"]))
         return state
 
     def roulette_select(probs, rng):
-        state, params = acted[now["worker"]][-1]
+        state, params = acted[worker_of(lambda actor: actor.rng is rng)][-1]
         assert np.array_equal(probs, forward_policy(params, state))
         counts["probs"] += 1
         return real_roulette(probs, rng)
 
     def backward(*args):
-        # the trained samples are still the first N of the buffer here
-        samples = now["actor"].buffer[:batch_size]
-        queue = acted[now["worker"]]
-        assert len(samples) == batch_size
-        for smp, (state, params) in zip(samples, queue):
-            assert smp.value == forward_value(params, state)
+        # the trained samples are still the first N of the columns here
+        actor = now["actor"]
+        values = actor.values[:batch_size]
+        queue = acted[actor.worker_id]
+        assert len(values) == batch_size
+        for value, (state, params) in zip(values, queue):
+            assert value == forward_value(params, state)
         del queue[:batch_size]
         counts["values"] += batch_size
         return real_backward(*args)
 
     monkeypatch.setattr(trainer_mod.ParamStore, "__init__", init)
     monkeypatch.setattr(trainer_mod.ParamStore, "sync_into", sync_into)
-    monkeypatch.setattr(trainer_mod, "actor_arrive", actor_arrive)
-    monkeypatch.setattr(trainer_mod, "actor_act", actor_act)
+    monkeypatch.setattr(trainer_mod, "serve_round", serve_round)
+    monkeypatch.setattr(trainer_mod, "train_actor", train_actor)
     monkeypatch.setattr(StateEncoder, "encode", encode)
     monkeypatch.setattr(trainer_mod, "roulette_select", roulette_select)
     monkeypatch.setattr(trainer_mod, "backward", backward)
@@ -341,14 +352,13 @@ def test_acting_and_values_use_the_last_synced_snapshot(
 
 def test_refresh_rejects_unvalued_samples_after_an_apply(
         nsfnet, nsfnet_paths, tmp_path, monkeypatch):
-    real_act = trainer_mod.actor_act
+    real_train = trainer_mod.train_actor
 
-    def act(actor, store, *args):
-        real_act(actor, store, *args)
-        if store.epoch and actor.buffer:
-            actor.buffer[-1].value = None  # carried across the next refresh
+    def train_actor(actor, *args):
+        real_train(actor, *args)
+        actor.values.pop()  # carried unvalued across the next refresh
 
-    monkeypatch.setattr(trainer_mod, "actor_act", act)
+    monkeypatch.setattr(trainer_mod, "train_actor", train_actor)
     # the first copy, after the first apply, finds an unvalued sample
     with pytest.raises(RuntimeError, match="not yet valued") as info:
         small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=3)
@@ -458,10 +468,10 @@ def test_worker_failure_aborts_run(nsfnet, nsfnet_paths, tmp_path,
 
 def test_run_training_surfaces_worker_failure(nsfnet, nsfnet_paths, tmp_path,
                                               monkeypatch):
-    def explode(actor, store, *args):
+    def explode(probs, rng):
         raise RuntimeError("boom in worker")
 
-    monkeypatch.setattr(trainer_mod, "actor_act", explode)
+    monkeypatch.setattr(trainer_mod, "roulette_select", explode)
     with pytest.raises(RuntimeError, match="worker [01] failed"):
         small_run(nsfnet, nsfnet_paths, tmp_path, "flx", epochs=5, workers=2)
     # metrics flushed and readable even after the abort
